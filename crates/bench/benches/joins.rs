@@ -8,9 +8,8 @@
 //! * **join-heavy CQ evaluation** (a 3-hop path query) over the
 //!   materialised closure.
 //!
-//! The acceptance bar for the columnar-store/kernel rewrite is a ≥ 3×
-//! speedup on the transitive-closure workload; `harness joins` measures the
-//! same workloads and records the ratio in `BENCH_joins.json`.
+//! The acceptance bar for the columnar-store/kernel rewrite was a ≥ 3×
+//! speedup on the transitive-closure workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::ops::ControlFlow;

@@ -1,7 +1,7 @@
-//! Shared helpers for the Vadalog reproduction benchmark harness.
+//! Shared helpers for the Vadalog reproduction's paper experiments.
 //!
 //! The experiment drivers live in `src/bin/harness.rs` (which prints the
-//! tables recorded in EXPERIMENTS.md) and in the Criterion benches under
+//! tables of experiments E1–E8) and in the Criterion benches under
 //! `benches/`. This library hosts the small amount of code they share:
 //! canonical programs, query strings and a tiny table printer.
 
@@ -217,6 +217,24 @@ mod tests {
         assert_eq!(
             classify_scenario(&program(NONLINEAR_TC)),
             ScenarioClass::WardedLinearizable
+        );
+    }
+
+    /// The oracle the `joins` bench times the kernel against must compute
+    /// what the kernel computes.
+    #[test]
+    fn seed_reference_and_the_join_kernel_materialise_the_same_closure() {
+        let tc = program(LINEAR_TC);
+        let db = vadalog_benchgen::graphs::random_graph(60, 120, 42);
+        let (seed_instance, seed_stats) = seed_reference::evaluate(&tc, &db);
+        let kernel = vadalog_datalog::DatalogEngine::new(tc)
+            .unwrap()
+            .evaluate(&db);
+        assert_eq!(kernel.stats.derived_atoms, seed_stats.derived_atoms);
+        assert_eq!(kernel.stats.peak_atoms, seed_stats.peak_atoms);
+        assert_eq!(
+            kernel.instance.sorted_row_layout(),
+            seed_instance.sorted_row_layout()
         );
     }
 

@@ -6,8 +6,8 @@
 //! identifiers. A single-column index can only probe one of the columns and
 //! must filter the rest row by row, so its candidate lists scale with the
 //! *per-column* fan-out even when the *pair* is unique. The scenario below
-//! makes that gap measurable — and is the workload `BENCH_joins.json`
-//! records the composite-index speedup on:
+//! makes that gap measurable (the repository benchmark's `answer_cq`
+//! workload runs it):
 //!
 //! * `src(A, B, V)` — the `(A, B)` pairs enumerate a `groups × (rows /
 //!   groups)` grid, so every pair is unique while column `A` is shared by

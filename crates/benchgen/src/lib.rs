@@ -17,13 +17,12 @@
 //! * [`data_exchange`] — ChaseBench-style source-to-target scenarios with
 //!   existential target dependencies (experiment E6);
 //! * [`fkjoin`] — 2-key foreign-key join chains whose every join binds a
-//!   two-column key (the composite-index workload of `BENCH_joins.json`);
+//!   two-column key (the composite-index workload);
 //! * [`delta`] — delta-stream workloads (base database + small fact
-//!   batches) for the incremental-ingestion benchmark of
-//!   `BENCH_incremental.json`;
+//!   batches) for incremental ingestion;
 //! * [`magic`] — bound-query reachability workloads (disjoint chains, so
 //!   full-closure size vs per-query demand is a structural property) for
-//!   the magic-sets benchmark of `BENCH_magic.json`.
+//!   the magic-sets path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

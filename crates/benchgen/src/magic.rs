@@ -1,6 +1,6 @@
 //! Bound-query workloads for the magic-sets (demand-driven) benchmark:
 //! a reachability program over a graph built to make the full/demanded
-//! asymmetry structural, plus the three query shapes the harness times.
+//! asymmetry structural, plus the three query shapes run against it.
 //!
 //! The graph is a union of `chain_count` *disjoint* chains of `chain_len`
 //! edges each. Full materialisation derives every chain's closure —

@@ -28,8 +28,9 @@ pub struct ExplainReport {
 
 /// Explains `query` against `program` and `instance` without evaluating.
 ///
-/// `prefer_magic` mirrors the service's `MODE=` option: `false` forces the
-/// full-evaluation decision (`MODE=FULL`); `true` lets the magic rewrite
+/// `full_reason` carries the caller's own reason for ruling the demand path
+/// out (the service passes `mode=full requested` for `MODE=FULL`) and is
+/// printed as the full-evaluation decision; `None` lets the magic rewrite
 /// decide and reports its fallback reason when it refuses. `cache_hit`,
 /// when known (the service consults its specialised-program cache), is
 /// surfaced on the decision line; pass `None` when no cache exists (the
@@ -38,7 +39,7 @@ pub fn explain_query(
     program: &Program,
     instance: &Instance,
     query: &ConjunctiveQuery,
-    prefer_magic: bool,
+    full_reason: Option<&str>,
     cache_hit: Option<bool>,
 ) -> ExplainReport {
     let mut lines = Vec::new();
@@ -58,10 +59,13 @@ pub fn explain_query(
     }
 
     // The magic-vs-full decision, with the reason when magic is refused.
-    let decision = prefer_magic.then(|| magic_rewrite(program, query));
-    let magic = matches!(&decision, Some(Ok(_)));
+    let decision = match full_reason {
+        Some(reason) => Err(reason.to_string()),
+        None => magic_rewrite(program, query).map_err(|reason| reason.to_string()),
+    };
+    let magic = decision.is_ok();
     match &decision {
-        Some(Ok(rewrite)) => {
+        Ok(rewrite) => {
             let cache = match cache_hit {
                 Some(true) => " cache=hit",
                 Some(false) => " cache=miss",
@@ -75,8 +79,7 @@ pub fn explain_query(
                 lines.push(format!("rewrite {line}"));
             }
         }
-        Some(Err(reason)) => lines.push(format!("decision full reason={reason}")),
-        None => lines.push("decision full reason=mode=full requested".to_string()),
+        Err(reason) => lines.push(format!("decision full reason={reason}")),
     }
 
     // The static build/probe plan of the query atoms against the instance
@@ -115,7 +118,7 @@ mod tests {
     fn bound_query_explains_the_magic_decision() {
         let (program, instance) = setup();
         let query = parse_query("?(Y) :- t(a, Y).").unwrap();
-        let report = explain_query(&program, &instance, &query, true, Some(false));
+        let report = explain_query(&program, &instance, &query, None, Some(false));
         assert!(report.magic);
         assert!(report.lines.iter().any(|l| l == "adornment t^bf"));
         assert!(report
@@ -133,7 +136,7 @@ mod tests {
     fn all_free_query_explains_the_fallback_reason() {
         let (program, instance) = setup();
         let query = parse_query("?(X, Y) :- t(X, Y).").unwrap();
-        let report = explain_query(&program, &instance, &query, true, None);
+        let report = explain_query(&program, &instance, &query, None, None);
         assert!(!report.magic);
         assert!(report
             .lines
@@ -147,7 +150,13 @@ mod tests {
     fn mode_full_bypasses_magic_without_consulting_the_rewrite() {
         let (program, instance) = setup();
         let query = parse_query("?(Y) :- t(a, Y).").unwrap();
-        let report = explain_query(&program, &instance, &query, false, None);
+        let report = explain_query(
+            &program,
+            &instance,
+            &query,
+            Some("mode=full requested"),
+            None,
+        );
         assert!(!report.magic);
         assert!(report
             .lines
@@ -161,7 +170,7 @@ mod tests {
         // Two-atom join: the second step must probe an index on the shared
         // variable rather than scanning.
         let query = parse_query("?(X, Z) :- edge(X, Y), edge(Y, Z).").unwrap();
-        let report = explain_query(&program, &instance, &query, true, None);
+        let report = explain_query(&program, &instance, &query, None, None);
         let steps: Vec<&String> = report
             .lines
             .iter()

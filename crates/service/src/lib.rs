@@ -46,36 +46,65 @@
 //! The `STATS` JSON object is versioned: its first field is
 //! `"schema_version"` ([`STATS_SCHEMA_VERSION`], currently `1`). New fields
 //! are additive and do *not* bump the version; removals or renames do.
-//! Fields, in order:
+//! Every scalar the server reports is declared once, in one registry, and
+//! `STATS`, `METRICS` and the table below are renderings of it (a test
+//! compares the table with the registry row by row). The object holds, in
+//! order: the top-level scalars of the table; the `transport` object (the
+//! `transport.*` rows — at quiescence `requests_received ==
+//! requests_served + queries_shed + requests_failed`); the `latency`
+//! object; and `degraded`, as a JSON boolean.
 //!
-//! | Field | Meaning |
-//! |---|---|
-//! | `schema_version` | STATS schema version (this table describes `1`) |
-//! | `epoch` | Published snapshot epoch (bumps on every applied ingest) |
-//! | `atoms` | Rows in the live materialisation |
-//! | `derived_atoms` / `peak_atoms` / `iterations` | Engine totals: rows ever derived, high-water mark, fixpoint rounds |
-//! | `joins_evaluated` / `join_probes` / `composite_probes` / `probe_misses_filtered` / `rows_prededuped` | Join-kernel counters: join evaluations, index probes (composite-key subset broken out), probes skipped by the existence filter, rows deduplicated before insert |
-//! | `strata_skipped` / `rounds_incremental` | Incremental-maintenance savings: strata proven unaffected, delta-only rounds |
-//! | `index_bytes` | Approximate index memory footprint |
-//! | `wal_records` / `wal_bytes` | Write-ahead-log length (records, bytes) since the last truncation |
-//! | `snapshots_written` / `snapshot_failures` | Durable snapshot attempts (`SNAPSHOT` verb + cadence) |
-//! | `programs_rejected` / `diagnostics_emitted` | Admission outcomes: `VALIDATE` verdicts refused fail-closed, total diagnostics produced |
-//! | `magic_queries` / `magic_cache_hits` / `demanded_tuples` / `full_materialised_tuples` | Demand-driven split: queries that took the magic path, specialised-program cache hits, scratch tuples derived on demand, size of the full materialisation |
-//! | `slow_queries` | Records currently retained in the slow-query ring |
-//! | `transport` | `connections_accepted` / `connections_rejected` / `connections_closed` / `requests_received` / `requests_served` / `requests_failed` / `queries_shed` / `queue_depth_max`. At quiescence `requests_received == requests_served + queries_shed + requests_failed` |
-//! | `latency` | One object per verb (`query`, `fact`, `batch`, `explain`, `profile`, `validate`, `stats`, `metrics`, `snapshot`, `shutdown`), each `count`/`total_micros`/`max_micros`/`p50_micros`/`p95_micros`/`p99_micros`. `count`/`total`/`max` are exact; percentiles are log-bucketed (≤ 25% relative error). The per-verb counts sum to `requests_served` at quiescence |
-//! | `degraded` | `true` while admission control is shedding |
+//! | `STATS` key | `METRICS` series | Type | Meaning |
+//! |---|---|---|---|
+//! | `schema_version` | `vadalog_schema_version` | gauge | Version of the STATS JSON schema this server speaks. |
+//! | `epoch` | `vadalog_epoch` | gauge | Snapshot epoch of the served materialisation (bumps on every applied ingest). |
+//! | `atoms` | `vadalog_atoms` | gauge | Atoms (EDB + IDB) in the live materialisation. |
+//! | `derived_atoms` | `vadalog_derived_atoms_total` | counter | Derived (IDB) atoms the engine has produced. |
+//! | `iterations` | `vadalog_iterations_total` | counter | Semi-naive iterations summed over all strata. |
+//! | `rounds_incremental` | `vadalog_rounds_incremental_total` | counter | Fixpoint rounds executed through the incremental ingest path. |
+//! | `strata_skipped` | `vadalog_strata_skipped_total` | counter | Strata an incremental ingest proved unaffected and skipped. |
+//! | `joins_evaluated` | `vadalog_joins_evaluated_total` | counter | Join-kernel invocations. |
+//! | `join_probes` | `vadalog_join_probes_total` | counter | Candidate rows examined across all join-kernel invocations. |
+//! | `index_bytes` | `vadalog_index_bytes` | gauge | Bytes held by the live instance's join indexes. |
+//! | `wal_records` | `vadalog_wal_records` | gauge | Records in the write-ahead log since the last snapshot. |
+//! | `wal_bytes` | `vadalog_wal_bytes` | gauge | Bytes in the write-ahead log since the last snapshot. |
+//! | `snapshots_written` | `vadalog_snapshots_written_total` | counter | Durable snapshots written (SNAPSHOT verb and cadence). |
+//! | `snapshot_failures` | `vadalog_snapshot_failures_total` | counter | Durable snapshot attempts that failed. |
+//! | `programs_rejected` | `vadalog_programs_rejected_total` | counter | Candidate programs rejected by the admission gate. |
+//! | `diagnostics_emitted` | `vadalog_diagnostics_emitted_total` | counter | Diagnostics emitted by VALIDATE requests and refused ingests. |
+//! | `magic_queries` | `vadalog_magic_queries_total` | counter | Queries answered through the demand-driven (magic) path. |
+//! | `magic_cache_hits` | `vadalog_magic_cache_hits_total` | counter | Magic queries whose specialised program was cached. |
+//! | `demanded_tuples` | `vadalog_demanded_tuples_total` | counter | Tuples derived across all demand-driven evaluations. |
+//! | `full_materialised_tuples` | `vadalog_full_materialised_tuples` | gauge | Size of the full materialisation the demand path avoids (equals atoms). |
+//! | `slow_queries` | `vadalog_slow_queries` | gauge | Slow-query records currently retained in the bounded log. |
+//! | `peak_atoms` | `vadalog_peak_atoms` | gauge | Atoms (EDB + IDB) in the engine after its last evaluation, the space proxy. |
+//! | `composite_probes` | `vadalog_composite_probes_total` | counter | Probe steps answered by a composite fused-key index. |
+//! | `probe_misses_filtered` | `vadalog_probe_misses_filtered_total` | counter | Index probes skipped by the fingerprint filter. |
+//! | `rows_prededuped` | `vadalog_rows_prededuped_total` | counter | Rows the workers deduplicated before the sequential merge. |
+//! | `transport.connections_accepted` | `vadalog_connections_accepted_total` | counter | Connections accepted by the reactor. |
+//! | `transport.connections_rejected` | `vadalog_connections_rejected_total` | counter | Connections rejected by admission control. |
+//! | `transport.connections_closed` | `vadalog_connections_closed_total` | counter | Connections closed for any reason. |
+//! | `transport.requests_received` | `vadalog_requests_received_total` | counter | Request lines received (including ones that failed to parse). |
+//! | `transport.requests_served` | `vadalog_requests_served_total` | counter | Requests answered by the handler. |
+//! | `transport.requests_failed` | `vadalog_requests_failed_total` | counter | Requests that failed (parse errors, drops, drain rejects). |
+//! | `transport.queries_shed` | `vadalog_queries_shed_total` | counter | Requests shed by queue-depth admission control. |
+//! | `transport.queue_depth_max` | `vadalog_queue_depth_max` | gauge | High-water mark of the job queue depth. |
+//! | `degraded` | `vadalog_degraded` | gauge | 1 (STATS: true) once a writer panic has poisoned the engine mutex and writes fail. |
+//!
+//! `latency` holds one object per verb (`query`, `fact`, `batch`,
+//! `explain`, `profile`, `validate`, `stats`, `metrics`, `snapshot`,
+//! `shutdown`), each `count`/`total_micros`/`max_micros`/`p50_micros`/
+//! `p95_micros`/`p99_micros`. `count`/`total`/`max` are exact; percentiles
+//! are log-bucketed (≤ 25% relative error). The per-verb counts sum to
+//! `transport.requests_served` at quiescence.
 //!
 //! # METRICS exposition
 //!
-//! `METRICS` renders the same counters in Prometheus text format, all
-//! names prefixed `vadalog_`. Monotone engine/service totals are
-//! `counter`s (`vadalog_iterations_total`, `vadalog_join_probes_total`,
-//! `vadalog_snapshots_written_total`, `vadalog_magic_queries_total`,
-//! `vadalog_requests_served_total`, …); point-in-time values are `gauge`s
-//! (`vadalog_epoch`, `vadalog_atoms`, `vadalog_index_bytes`,
-//! `vadalog_wal_bytes`, `vadalog_queue_depth_max`, `vadalog_slow_queries`,
-//! `vadalog_degraded`); and per-verb request latency is one `histogram`
+//! `METRICS` renders the same registry in Prometheus text format: each
+//! `STATS` key becomes the series named beside it in the table above —
+//! `vadalog_<key>_total` for `counter`s (monotone totals),
+//! `vadalog_<key>` for `gauge`s (point-in-time values) — with its `# HELP`
+//! and `# TYPE` comments. Per-verb request latency is one `histogram`
 //! family, `vadalog_request_duration_micros` with a `verb` label —
 //! cumulative `_bucket{le=…}` series (empty buckets elided, `+Inf`
 //! mandatory) plus `_sum` and `_count` per verb. The suite's
@@ -103,8 +132,13 @@
 //! constants demand. `AUTO` (the default) takes the magic path whenever the
 //! query has at least one bound column and the rewrite applies, and the
 //! full path otherwise; `MODE=MAGIC` is a preference, not a correctness
-//! switch — unspecialisable queries silently fall back, and answers are
-//! identical on either path. `STATS` exposes the split: `magic_queries`,
+//! switch — unspecialisable queries silently fall back. Answers are
+//! identical on either path provided derived relations hold only derived
+//! rows, which fail-closed admission guarantees: the demand path reads
+//! only the extensional relations of the snapshot, so under
+//! [`AdmissionPolicy::WarnOnly`] (where a fact may be asserted into a
+//! derived relation) every query takes the full path whatever its `MODE=`.
+//! `STATS` exposes the split: `magic_queries`,
 //! `magic_cache_hits` and cumulative `demanded_tuples` versus
 //! `full_materialised_tuples` (the size of the live materialisation).
 //!
@@ -156,7 +190,7 @@
 //! * **Admission policy knobs** ([`ServerConfig`]): `max_connections`
 //!   (accept-time cap), `max_queue_depth` (request-time cap),
 //!   `worker_threads` (in-flight cap), `overload_retry_ms` (the backoff
-//!   hint carried by `ERR overloaded`), `idle_timeout` (optional reaper).
+//!   hint carried by `ERR overloaded`).
 //! * **Degradation ladder** under rising load: (1) requests queue, up to
 //!   `max_queue_depth`; (2) further requests are shed with
 //!   `ERR overloaded retry_ms=<hint>` — connections survive, `STATS`,
@@ -179,9 +213,9 @@
 //! replays the WAL tail — skipping records the snapshot already covers and
 //! dropping (not fataling on) a torn or corrupt tail — and yields a state
 //! **bit-identical** to the uncrashed engine's, as enforced by the
-//! fault-injection suite and the `recovery` bench harness. Acknowledged
-//! batches are never lost; a batch logged but unacknowledged at the crash
-//! may be replayed (the usual at-least-once window).
+//! fault-injection suite. Acknowledged batches are never lost; a batch
+//! logged but unacknowledged at the crash may be replayed (the usual
+//! at-least-once window).
 //!
 //! # Robustness
 //!

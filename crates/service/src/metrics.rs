@@ -13,9 +13,12 @@
 //! sample per response line so the count-framed protocol response carries
 //! it unmodified.
 
+use crate::durability::DurableEngine;
 use crate::histogram::LatencyHistogram;
 use crate::protocol::Request;
+use crate::server::{Shared, STATS_SCHEMA_VERSION};
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Mutex;
 
 /// Which latency histogram a served request bills to — one variant per
@@ -177,24 +180,196 @@ impl SlowQueryLog {
     }
 }
 
-/// Appends a `# HELP` / `# TYPE` / sample triple for one counter.
-pub(crate) fn counter(lines: &mut Vec<String>, name: &str, help: &str, value: u64) {
-    lines.push(format!("# HELP {name} {help}"));
-    lines.push(format!("# TYPE {name} counter"));
-    lines.push(format!("{name} {value}"));
+/// How `METRICS` types a scalar: monotone totals are counters (exposed
+/// with a `_total` suffix), point-in-time values are gauges.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Counter,
+    Gauge,
+}
+use Kind::{Counter, Gauge};
+
+impl Kind {
+    /// The `# TYPE` keyword.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Counter => "counter",
+            Gauge => "gauge",
+        }
+    }
 }
 
-/// Appends a `# HELP` / `# TYPE` / sample triple for one gauge.
-pub(crate) fn gauge(lines: &mut Vec<String>, name: &str, help: &str, value: u64) {
-    lines.push(format!("# HELP {name} {help}"));
-    lines.push(format!("# TYPE {name} gauge"));
-    lines.push(format!("{name} {value}"));
+/// One scalar the server reports. `STATS`, `METRICS` and the schema table
+/// in the crate docs are all loops over [`TOP_LEVEL`], [`TRANSPORT`] and
+/// [`DEGRADED`]: adding or removing a counter is one row here (plus its
+/// row in the doc table, which a test compares against these).
+pub(crate) struct Scalar {
+    /// The `STATS` JSON key; `METRICS` exposes it as `vadalog_<key>`
+    /// (`vadalog_<key>_total` for counters).
+    pub(crate) key: &'static str,
+    pub(crate) kind: Kind,
+    /// Reads the value; the engine is locked once per reply, so the engine
+    /// numbers in one `STATS` or `METRICS` reply describe one epoch.
+    pub(crate) read: Read,
+    /// The `# HELP` text, and the meaning column of the doc table.
+    pub(crate) help: &'static str,
+}
+
+type Read = fn(&DurableEngine, &Shared) -> u64;
+
+const fn row(key: &'static str, kind: Kind, read: Read, help: &'static str) -> Scalar {
+    Scalar {
+        key,
+        kind,
+        read,
+        help,
+    }
+}
+
+impl Scalar {
+    /// The scalar's `METRICS` series name.
+    pub(crate) fn metric_name(&self) -> String {
+        match self.kind {
+            Counter => format!("vadalog_{}_total", self.key),
+            Gauge => format!("vadalog_{}", self.key),
+        }
+    }
+}
+
+/// The top-level `STATS` scalars, in the order the object reports them.
+/// Clients parse this object: keep existing keys where they are and append
+/// new ones at the end.
+#[rustfmt::skip] // a table: one row per scalar
+pub(crate) const TOP_LEVEL: &[Scalar] = &[
+    row("schema_version", Gauge, |_, _| STATS_SCHEMA_VERSION,
+        "Version of the STATS JSON schema this server speaks."),
+    row("epoch", Gauge, |e, _| e.engine().epoch(),
+        "Snapshot epoch of the served materialisation (bumps on every applied ingest)."),
+    row("atoms", Gauge, |e, _| e.engine().instance().len() as u64,
+        "Atoms (EDB + IDB) in the live materialisation."),
+    row("derived_atoms", Counter, |e, _| e.engine().stats().derived_atoms as u64,
+        "Derived (IDB) atoms the engine has produced."),
+    row("iterations", Counter, |e, _| e.engine().stats().iterations as u64,
+        "Semi-naive iterations summed over all strata."),
+    row("rounds_incremental", Counter, |e, _| e.engine().stats().rounds_incremental as u64,
+        "Fixpoint rounds executed through the incremental ingest path."),
+    row("strata_skipped", Counter, |e, _| e.engine().stats().strata_skipped as u64,
+        "Strata an incremental ingest proved unaffected and skipped."),
+    row("joins_evaluated", Counter, |e, _| e.engine().stats().joins_evaluated as u64,
+        "Join-kernel invocations."),
+    row("join_probes", Counter, |e, _| e.engine().stats().join_probes,
+        "Candidate rows examined across all join-kernel invocations."),
+    row("index_bytes", Gauge, |e, _| e.engine().instance().index_bytes() as u64,
+        "Bytes held by the live instance's join indexes."),
+    row("wal_records", Gauge, |e, _| e.wal_stats().0,
+        "Records in the write-ahead log since the last snapshot."),
+    row("wal_bytes", Gauge, |e, _| e.wal_stats().1,
+        "Bytes in the write-ahead log since the last snapshot."),
+    row("snapshots_written", Counter, |e, _| e.wal_stats().2,
+        "Durable snapshots written (SNAPSHOT verb and cadence)."),
+    row("snapshot_failures", Counter, |e, _| e.wal_stats().3,
+        "Durable snapshot attempts that failed."),
+    row("programs_rejected", Counter, |_, s| s.programs_rejected.load(SeqCst),
+        "Candidate programs rejected by the admission gate."),
+    row("diagnostics_emitted", Counter, |_, s| s.diagnostics_emitted.load(SeqCst),
+        "Diagnostics emitted by VALIDATE requests and refused ingests."),
+    row("magic_queries", Counter, |_, s| s.demand.stats().magic_queries,
+        "Queries answered through the demand-driven (magic) path."),
+    row("magic_cache_hits", Counter, |_, s| s.demand.stats().magic_cache_hits,
+        "Magic queries whose specialised program was cached."),
+    row("demanded_tuples", Counter, |_, s| s.demand.stats().demanded_tuples,
+        "Tuples derived across all demand-driven evaluations."),
+    row("full_materialised_tuples", Gauge, |e, _| e.engine().instance().len() as u64,
+        "Size of the full materialisation the demand path avoids (equals atoms)."),
+    row("slow_queries", Gauge, |_, s| s.slow_log.len() as u64,
+        "Slow-query records currently retained in the bounded log."),
+    row("peak_atoms", Gauge, |e, _| e.engine().stats().peak_atoms as u64,
+        "Atoms (EDB + IDB) in the engine after its last evaluation, the space proxy."),
+    row("composite_probes", Counter, |e, _| e.engine().stats().composite_probes,
+        "Probe steps answered by a composite fused-key index."),
+    row("probe_misses_filtered", Counter, |e, _| e.engine().stats().probe_misses_filtered,
+        "Index probes skipped by the fingerprint filter."),
+    row("rows_prededuped", Counter, |e, _| e.engine().stats().rows_prededuped,
+        "Rows the workers deduplicated before the sequential merge."),
+];
+
+/// The scalars of the `STATS` `transport` object, in its key order. At
+/// quiescence `requests_received` = `requests_served` + `queries_shed` +
+/// `requests_failed`.
+#[rustfmt::skip] // a table: one row per scalar
+pub(crate) const TRANSPORT: &[Scalar] = &[
+    row("connections_accepted", Counter, |_, s| s.transport.connections_accepted.load(Relaxed),
+        "Connections accepted by the reactor."),
+    row("connections_rejected", Counter, |_, s| s.transport.connections_rejected.load(Relaxed),
+        "Connections rejected by admission control."),
+    row("connections_closed", Counter, |_, s| s.transport.connections_closed.load(Relaxed),
+        "Connections closed for any reason."),
+    row("requests_received", Counter, |_, s| s.transport.requests_received.load(Relaxed),
+        "Request lines received (including ones that failed to parse)."),
+    row("requests_served", Counter, |_, s| s.transport.requests_served.load(Relaxed),
+        "Requests answered by the handler."),
+    row("requests_failed", Counter, |_, s| s.transport.requests_failed.load(Relaxed),
+        "Requests that failed (parse errors, drops, drain rejects)."),
+    row("queries_shed", Counter, |_, s| s.transport.queries_shed.load(Relaxed),
+        "Requests shed by queue-depth admission control."),
+    row("queue_depth_max", Gauge, |_, s| s.transport.queue_depth_max.load(Relaxed),
+        "High-water mark of the job queue depth."),
+];
+
+/// The last `STATS` field — a JSON boolean there, a 0/1 gauge in `METRICS`.
+#[rustfmt::skip] // laid out like the rows above
+pub(crate) const DEGRADED: Scalar =
+    row("degraded", Gauge, |_, s| s.degraded.load(SeqCst) as u64,
+        "1 (STATS: true) once a writer panic has poisoned the engine mutex and writes fail.");
+
+/// Every registered scalar, in `STATS` order.
+pub(crate) fn scalars() -> impl Iterator<Item = &'static Scalar> {
+    TOP_LEVEL
+        .iter()
+        .chain(TRANSPORT)
+        .chain(std::iter::once(&DEGRADED))
+}
+
+/// `"key":value,…` for a run of scalars (no braces).
+fn json_fields(scalars: &[Scalar], engine: &DurableEngine, shared: &Shared) -> String {
+    let fields: Vec<String> = scalars
+        .iter()
+        .map(|scalar| format!("\"{}\":{}", scalar.key, (scalar.read)(engine, shared)))
+        .collect();
+    fields.join(",")
+}
+
+/// The `STATS` JSON object: the top-level scalars, then the `transport`
+/// and `latency` objects, then `degraded`.
+pub(crate) fn stats_json(engine: &DurableEngine, shared: &Shared) -> String {
+    format!(
+        "{{{},\"transport\":{{{}}},\"latency\":{},\"{}\":{}}}",
+        json_fields(TOP_LEVEL, engine, shared),
+        json_fields(TRANSPORT, engine, shared),
+        shared.latency.render(),
+        DEGRADED.key,
+        (DEGRADED.read)(engine, shared) != 0,
+    )
+}
+
+/// The `METRICS` payload: a `# HELP` / `# TYPE` / sample triple per
+/// registered scalar, then the per-verb latency histogram family.
+pub(crate) fn exposition(engine: &DurableEngine, shared: &Shared) -> Vec<String> {
+    let mut lines = Vec::new();
+    for scalar in scalars() {
+        let name = scalar.metric_name();
+        lines.push(format!("# HELP {name} {}", scalar.help));
+        lines.push(format!("# TYPE {name} {}", scalar.kind.name()));
+        lines.push(format!("{name} {}", (scalar.read)(engine, shared)));
+    }
+    latency_family(&mut lines, &shared.latency);
+    lines
 }
 
 /// Appends the per-verb request-latency histogram family: cumulative
 /// `_bucket{verb=…,le=…}` series (only buckets with observations, plus the
 /// mandatory `+Inf`), `_sum` and `_count` per verb.
-pub(crate) fn latency_family(lines: &mut Vec<String>, latencies: &VerbLatencies) {
+fn latency_family(lines: &mut Vec<String>, latencies: &VerbLatencies) {
     let name = "vadalog_request_duration_micros";
     lines.push(format!(
         "# HELP {name} Wall time of served requests, by verb, in microseconds."

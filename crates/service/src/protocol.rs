@@ -138,32 +138,26 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 batch: keyword.eq_ignore_ascii_case("BATCH"),
             })
         }
-        "QUERY" => {
+        verb @ ("QUERY" | "PROFILE" | "EXPLAIN") => {
             let (rest, timeout_ms, max_rows, mode) = parse_query_options(rest)?;
-            Ok(Request::Query {
-                query: parse_query(rest).map_err(|e| e.to_string())?,
-                timeout_ms,
-                max_rows,
-                mode,
-            })
-        }
-        "EXPLAIN" => {
-            let (rest, timeout_ms, max_rows, mode) = parse_query_options(rest)?;
-            if timeout_ms.is_some() || max_rows.is_some() {
+            if verb == "EXPLAIN" && (timeout_ms.is_some() || max_rows.is_some()) {
                 return Err("EXPLAIN does not evaluate; TIMEOUT_MS/MAX_ROWS do not apply".into());
             }
-            Ok(Request::Explain {
-                query: parse_query(rest).map_err(|e| e.to_string())?,
-                mode,
-            })
-        }
-        "PROFILE" => {
-            let (rest, timeout_ms, max_rows, mode) = parse_query_options(rest)?;
-            Ok(Request::Profile {
-                query: parse_query(rest).map_err(|e| e.to_string())?,
-                timeout_ms,
-                max_rows,
-                mode,
+            let query = parse_query(rest).map_err(|e| e.to_string())?;
+            Ok(match verb {
+                "EXPLAIN" => Request::Explain { query, mode },
+                "QUERY" => Request::Query {
+                    query,
+                    timeout_ms,
+                    max_rows,
+                    mode,
+                },
+                _ => Request::Profile {
+                    query,
+                    timeout_ms,
+                    max_rows,
+                    mode,
+                },
             })
         }
         "VALIDATE" => {

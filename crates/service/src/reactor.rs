@@ -22,7 +22,7 @@
 //!   the connection survives, only the request is refused. `STATS`,
 //!   `METRICS` and `SHUTDOWN` are exempt (an operator diagnosing an
 //!   overload must not be shed by it).
-//! * **Deadlines** (line completion, write progress, optional idling) live
+//! * **Deadlines** (line completion, write progress) live
 //!   in a hashed timer wheel with `poll_interval` granularity. Entries are
 //!   validated when they fire — a stale entry for a connection that made
 //!   progress is re-armed at its real deadline, not acted on.
@@ -81,26 +81,6 @@ pub(crate) struct TransportCounters {
     pub(crate) queue_depth_max: AtomicU64,
 }
 
-impl TransportCounters {
-    /// One JSON object for the `STATS` payload.
-    pub(crate) fn render(&self) -> String {
-        format!(
-            "{{\"connections_accepted\":{},\"connections_rejected\":{},\
-             \"connections_closed\":{},\"requests_received\":{},\
-             \"requests_served\":{},\"requests_failed\":{},\
-             \"queries_shed\":{},\"queue_depth_max\":{}}}",
-            self.connections_accepted.load(Ordering::Relaxed),
-            self.connections_rejected.load(Ordering::Relaxed),
-            self.connections_closed.load(Ordering::Relaxed),
-            self.requests_received.load(Ordering::Relaxed),
-            self.requests_served.load(Ordering::Relaxed),
-            self.requests_failed.load(Ordering::Relaxed),
-            self.queries_shed.load(Ordering::Relaxed),
-            self.queue_depth_max.load(Ordering::Relaxed),
-        )
-    }
-}
-
 /// One entry in a connection's in-order pipeline.
 enum Work {
     /// A parsed request awaiting admission/dispatch.
@@ -111,12 +91,9 @@ enum Work {
     Reply { text: String, close_after: bool },
 }
 
-enum Job {
-    Handle {
-        conn: u64,
-        request: Request,
-        verb: Verb,
-    },
+struct Job {
+    conn: u64,
+    request: Request,
 }
 
 enum Outcome {
@@ -199,17 +176,13 @@ impl Completions {
 }
 
 fn worker_loop(shared: &Shared, queue: &JobQueue, completions: &Completions) {
-    while let Some(Job::Handle {
-        conn,
-        request,
-        verb,
-    }) = queue.pop()
-    {
+    while let Some(Job { conn, request }) = queue.pop() {
+        let verb = Verb::of(&request);
         let outcome = match failpoints::check("reactor.job") {
             Err(error) => Outcome::Reply(Response::Error(error.to_string()).render()),
             Ok(()) => {
                 let started = Instant::now();
-                match catch_unwind(AssertUnwindSafe(|| handle_request(shared, request))) {
+                match catch_unwind(AssertUnwindSafe(|| handle_request(shared, verb, request))) {
                     Ok(response) => {
                         // Every served request bills exactly one verb, so
                         // the per-verb counts sum to `requests_served` at
@@ -303,7 +276,6 @@ struct Conn {
     /// When the last write progress happened while data is still pending —
     /// the stalled-reader deadline anchor.
     write_since: Option<Instant>,
-    last_activity: Instant,
     /// The deadline last armed in the wheel, to avoid duplicate entries.
     armed: Option<Instant>,
     read_closed: bool,
@@ -313,7 +285,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, now: Instant) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
             read_buf: Vec::new(),
@@ -324,7 +296,6 @@ impl Conn {
             busy: false,
             line_started: None,
             write_since: None,
-            last_activity: now,
             armed: None,
             read_closed: false,
             closing: false,
@@ -340,28 +311,16 @@ impl Conn {
         self.write_buf.extend_from_slice(text.as_bytes());
     }
 
-    /// The connection's earliest enforcement deadline right now.
+    /// The connection's earliest enforcement deadline right now: a started
+    /// line must complete, and a pending write must make progress, within
+    /// `line_timeout`.
     fn deadline(&self, config: &crate::server::ServerConfig) -> Option<Instant> {
-        let mut earliest: Option<Instant> = None;
-        let mut consider = |candidate: Instant| {
-            earliest = Some(earliest.map_or(candidate, |current| current.min(candidate)));
-        };
-        if let Some(started) = self.line_started {
-            consider(started + config.line_timeout);
-        }
-        if let Some(since) = self.write_since {
-            consider(since + config.line_timeout);
-        }
-        if let Some(idle) = config.idle_timeout {
-            let quiescent = !self.busy
-                && self.pending.is_empty()
-                && !self.write_pending()
-                && self.read_buf.is_empty();
-            if quiescent {
-                consider(self.last_activity + idle);
-            }
-        }
-        earliest
+        let anchor = self
+            .line_started
+            .into_iter()
+            .chain(self.write_since)
+            .min()?;
+        Some(anchor + config.line_timeout)
     }
 }
 
@@ -432,6 +391,12 @@ pub(crate) fn run(shared: Arc<Shared>, listener: TcpListener, waker: Arc<Waker>)
     };
 }
 
+/// The structured refusal both shedding points (accept-time and
+/// request-time) answer with.
+fn overloaded(config: &crate::server::ServerConfig) -> String {
+    Response::Error(format!("overloaded retry_ms={}", config.overload_retry_ms)).render()
+}
+
 fn worker_count(config: &crate::server::ServerConfig) -> usize {
     if config.worker_threads > 0 {
         return config.worker_threads;
@@ -473,8 +438,7 @@ impl Reactor {
                 self.apply_completion(completion, &mut touched);
             }
             if accept_ready && !self.draining {
-                let fresh = self.accept_ready();
-                touched.extend(fresh);
+                self.accept_ready();
             }
             if self.shared.shutdown.load(Ordering::SeqCst) && !self.draining {
                 self.enter_drain();
@@ -495,15 +459,14 @@ impl Reactor {
         }
     }
 
-    /// Accepts until the listener would block, returning the tokens of the
-    /// connections admitted (so the caller can run their first upkeep,
-    /// arming idle deadlines).
-    fn accept_ready(&mut self) -> Vec<u64> {
+    /// Accepts until the listener would block. A fresh connection needs
+    /// no upkeep until its first readiness event: it starts with read
+    /// interest registered and no deadline.
+    fn accept_ready(&mut self) {
         let config = self.shared.config.clone();
-        let mut fresh = Vec::new();
         loop {
             let Some(listener) = self.listener.as_ref() else {
-                return fresh;
+                return;
             };
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -520,12 +483,7 @@ impl Reactor {
                             .transport
                             .connections_rejected
                             .fetch_add(1, Ordering::Relaxed);
-                        let reject = Response::Error(format!(
-                            "overloaded retry_ms={}",
-                            config.overload_retry_ms
-                        ))
-                        .render();
-                        let _ = (&stream).write(reject.as_bytes());
+                        let _ = (&stream).write(overloaded(&config).as_bytes());
                         continue;
                     }
                     let token = self.next_token;
@@ -541,14 +499,12 @@ impl Reactor {
                         .transport
                         .connections_accepted
                         .fetch_add(1, Ordering::Relaxed);
-                    self.conns.insert(token, Conn::new(stream, Instant::now()));
-                    fresh.push(token);
+                    self.conns.insert(token, Conn::new(stream));
                 }
-                Err(error) if error.kind() == io::ErrorKind::WouldBlock => return fresh,
-                // Transient accept failures (aborted handshakes, fd
-                // pressure): the level-triggered listener registration
-                // retries on the next wait.
-                Err(_) => return fresh,
+                // Would block: done. Transient accept failures (aborted
+                // handshakes, fd pressure): the level-triggered listener
+                // registration retries on the next wait.
+                Err(_) => return,
             }
         }
     }
@@ -571,7 +527,6 @@ impl Reactor {
                     if conn.read_buf.is_empty() {
                         conn.line_started = Some(Instant::now());
                     }
-                    conn.last_activity = Instant::now();
                     conn.read_buf.extend_from_slice(&chunk[..n]);
                     extract_lines(conn, &self.shared);
                 }
@@ -662,21 +617,13 @@ impl Reactor {
                     let exempt = matches!(request, Request::Stats { .. } | Request::Metrics);
                     if !exempt && self.queue.depth() >= config.max_queue_depth {
                         transport.queries_shed.fetch_add(1, Ordering::Relaxed);
-                        conn.queue_reply(
-                            &Response::Error(format!(
-                                "overloaded retry_ms={}",
-                                config.overload_retry_ms
-                            ))
-                            .render(),
-                        );
+                        conn.queue_reply(&overloaded(&config));
                         continue;
                     }
-                    let verb = Verb::of(&request);
                     conn.busy = true;
-                    let depth = self.queue.push(Job::Handle {
+                    let depth = self.queue.push(Job {
                         conn: token,
                         request,
-                        verb,
                     });
                     transport
                         .queue_depth_max
@@ -702,9 +649,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.written += n;
-                    let now = Instant::now();
-                    conn.last_activity = now;
-                    conn.write_since = Some(now);
+                    conn.write_since = Some(Instant::now());
                 }
                 Err(error) if error.kind() == io::ErrorKind::WouldBlock => break,
                 Err(error) if error.kind() == io::ErrorKind::Interrupted => continue,
@@ -785,9 +730,8 @@ impl Reactor {
         };
         match conn.deadline(&config) {
             Some(deadline) if deadline <= now => {
-                // Slow loris, stalled reader, or idle cutoff: the
-                // connection is cut without a reply, like the blocking
-                // transport before it.
+                // Slow loris or stalled reader: the connection is cut
+                // without a reply.
                 self.close_conn(token);
             }
             Some(deadline) => {
@@ -799,22 +743,13 @@ impl Reactor {
     }
 
     fn close_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.remove(&token) else {
+        let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.epoll.delete(conn.stream.as_raw_fd());
         let transport = &self.shared.transport;
         transport.connections_closed.fetch_add(1, Ordering::Relaxed);
-        // Received-but-unanswered requests fail; queued replies (parse
-        // errors and the like) were already accounted at parse time.
-        let unanswered = conn
-            .pending
-            .iter()
-            .filter(|work| matches!(work, Work::Request(_)))
-            .count();
-        transport
-            .requests_failed
-            .fetch_add(unanswered as u64, Ordering::Relaxed);
+        drop_pending(&mut conn, transport);
     }
 
     fn enter_drain(&mut self) {
@@ -896,7 +831,9 @@ fn oversized(conn: &mut Conn) {
     conn.line_started = None;
 }
 
-/// Rejects every still-queued request on a closing connection.
+/// Fails every still-queued request on a closing connection; queued
+/// replies (parse errors and the like) were already accounted at parse
+/// time.
 fn drop_pending(conn: &mut Conn, transport: &TransportCounters) {
     let unanswered = conn
         .pending

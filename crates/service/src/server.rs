@@ -1,37 +1,8 @@
-//! The TCP front door: protocol semantics (`handle_request`) plus the
-//! server lifecycle around the readiness-based transport in the `reactor`
-//! module (see the [crate docs](crate) for the protocol, the concurrency
-//! model and the durability model).
-//!
-//! # Robustness
-//!
-//! The transport defends itself against slow, broken, and *too many*
-//! clients:
-//!
-//! * One epoll reactor thread multiplexes every connection; a fixed worker
-//!   pool evaluates requests. A slow query occupies a worker, never the
-//!   event loop — accepts, reads, timeouts and `SHUTDOWN` stay responsive
-//!   under load.
-//! * Admission control degrades gracefully instead of collapsing: accepts
-//!   beyond [`ServerConfig::max_connections`] and requests beyond
-//!   [`ServerConfig::max_queue_depth`] answer a structured
-//!   `ERR overloaded retry_ms=<hint>` (`STATS`, `METRICS` and `SHUTDOWN`
-//!   are exempt,
-//!   so an operator can always diagnose and end an overload).
-//! * A line must fit in [`ServerConfig::max_line_bytes`] and complete
-//!   within [`ServerConfig::line_timeout`] of its first byte — the
-//!   slow-loris hole (one byte per minute, forever) closes a connection.
-//!   The same deadline cuts off clients that stop reading their answers,
-//!   and [`ServerConfig::idle_timeout`] optionally reaps silent sockets.
-//! * A panicked writer poisons the engine mutex; subsequent writes answer
-//!   `ERR engine-unavailable` while queries keep serving from the last
-//!   published snapshot (reads never need the engine lock). The process
-//!   can be restarted to recover the WAL — mid-ingest state is never
-//!   trusted.
-//! * Shutdown drains: the listener closes, queued-but-unstarted requests
-//!   answer `ERR shutting-down`, in-flight requests complete and flush,
-//!   then the WAL gets its clean-shutdown marker. An eventfd waker makes
-//!   programmatic shutdown prompt — no self-connect hack.
+//! The TCP front door: protocol semantics (`handle_request`, one function
+//! per verb) plus the server lifecycle around the readiness-based transport
+//! in the `reactor` module. The [crate docs](crate) hold the one copy of
+//! the protocol reference, the STATS/METRICS schema, and the concurrency,
+//! transport, durability and robustness models.
 
 use crate::durability::DurableEngine;
 use crate::failpoints;
@@ -42,12 +13,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vadalog_analysis::{analyze_source, AnalyzerOptions};
-use vadalog_datalog::{explain_query, DemandEngine, DemandError, IncrementalEngine};
-use vadalog_model::{BudgetExceeded, ConjunctiveQuery, InstanceSnapshot, Predicate, QueryBudget};
+use vadalog_datalog::{
+    explain_query, DemandAnswer, DemandEngine, DemandError, DemandProfile, IncrementalEngine,
+};
+use vadalog_model::{
+    Atom, BudgetExceeded, ConjunctiveQuery, InstanceSnapshot, Predicate, QueryBudget, Symbol,
+};
 
 /// What the server does with programs and facts that fail validation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,9 +70,6 @@ pub struct ServerConfig {
     pub worker_threads: usize,
     /// The `retry_ms` hint carried by `ERR overloaded` responses.
     pub overload_retry_ms: u64,
-    /// Reap connections with no traffic in this long (`None`: idle
-    /// sockets live until shutdown — they cost a buffer, not a thread).
-    pub idle_timeout: Option<Duration>,
     /// Clamp each accepted socket's kernel send buffer (`SO_SNDBUF`) to
     /// roughly this many bytes (`None`: kernel autotuning). Bounding the
     /// kernel's absorption makes the stalled-reader cutoff deterministic:
@@ -124,7 +96,6 @@ impl Default for ServerConfig {
             max_queue_depth: 128,
             worker_threads: 0,
             overload_retry_ms: 100,
-            idle_timeout: None,
             send_buffer_bytes: None,
             slow_query_micros: Some(1_000_000),
         }
@@ -152,7 +123,7 @@ pub(crate) struct Shared {
     /// and drains.
     pub(crate) shutdown: AtomicBool,
     /// Latched when the engine mutex is found poisoned.
-    degraded: AtomicBool,
+    pub(crate) degraded: AtomicBool,
     /// Extensional relations of the serving program, precomputed at start
     /// so `VALIDATE` never takes the engine lock.
     serving_edb: BTreeSet<Predicate>,
@@ -162,14 +133,14 @@ pub(crate) struct Shared {
     /// The serving schema's arities, for `VALIDATE` arity checks.
     serving_arities: BTreeMap<Predicate, usize>,
     /// Candidate programs rejected by the admission gate.
-    programs_rejected: AtomicU64,
-    /// Total diagnostics emitted by `VALIDATE` requests.
-    diagnostics_emitted: AtomicU64,
+    pub(crate) programs_rejected: AtomicU64,
+    /// Total diagnostics emitted by `VALIDATE` requests and refused ingests.
+    pub(crate) diagnostics_emitted: AtomicU64,
     /// The demand-driven (magic-sets) query path, sharing nothing with the
     /// live engine: it evaluates specialised programs against the published
     /// snapshot and caches one compiled program per binding-pattern
     /// signature.
-    demand: DemandEngine,
+    pub(crate) demand: DemandEngine,
     /// Per-verb latency histograms (p50/p95/p99), reported by `STATS` and
     /// exposed as a Prometheus histogram family by `METRICS`. Every served
     /// request bills exactly one verb, so at quiescence the per-verb
@@ -196,610 +167,63 @@ impl Shared {
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .clone()
     }
-}
 
-/// Renders a tripped query budget as its structured protocol error.
-fn budget_error(exceeded: BudgetExceeded, budget: &QueryBudget) -> Response {
-    match exceeded {
-        BudgetExceeded::Deadline => Response::Error(format!(
-            "deadline timeout_ms={}",
-            budget.timeout.map_or(0, |t| t.as_millis() as u64)
-        )),
-        BudgetExceeded::RowLimit => Response::Error(format!(
-            "row-limit max_rows={}",
-            budget.max_rows.unwrap_or(0)
-        )),
-        BudgetExceeded::Cancelled => Response::Error("cancelled".into()),
+    /// Locks the engine, or latches `degraded` and answers the structured
+    /// error when a panicked writer has poisoned the mutex.
+    fn lock_engine(&self) -> Result<MutexGuard<'_, DurableEngine>, Response> {
+        self.engine.lock().map_err(|_| {
+            self.degraded.store(true, Ordering::SeqCst);
+            Response::Error(ENGINE_UNAVAILABLE.into())
+        })
     }
-}
-
-/// Records a slow query when the handler wall time crosses the configured
-/// threshold (`None`: the log is disabled).
-fn maybe_slow(
-    shared: &Shared,
-    wall_micros: u64,
-    verb: &'static str,
-    query: &ConjunctiveQuery,
-    summary: String,
-) {
-    let Some(threshold) = shared.config.slow_query_micros else {
-        return;
-    };
-    if wall_micros < threshold {
-        return;
-    }
-    shared.slow_log.push(SlowQueryRecord {
-        wall_micros,
-        verb,
-        query: query.to_string(),
-        summary,
-    });
 }
 
 /// Serves one request against the shared state. This is the whole protocol
 /// semantics; the reactor transport around it only moves lines. Workers
 /// call it off the job queue — it is deliberately transport-free.
-pub(crate) fn handle_request(shared: &Shared, request: Request) -> Response {
+pub(crate) fn handle_request(shared: &Shared, verb: Verb, request: Request) -> Response {
     let mut span = vadalog_obs::span("service.request");
     if span.active() {
-        span.kv("verb", Verb::of(&request).name());
+        span.kv("verb", verb.name());
     }
-    match request {
-        Request::Ingest { facts, .. } => {
-            // Fail-closed admission: ingest may only feed extensional
-            // relations — the engine itself would accept a fact over a
-            // derived predicate and silently mix asserted and derived
-            // tuples in a rule-owned relation.
-            if shared.config.admission == AdmissionPolicy::FailClosed {
-                if let Some(atom) = facts
-                    .iter()
-                    .find(|a| shared.serving_idb.contains(&a.predicate))
-                {
-                    shared.diagnostics_emitted.fetch_add(1, Ordering::SeqCst);
-                    return Response::Error(format!(
-                        "fact targets derived predicate `{}`: ingest may only feed extensional \
-                         relations (VLG010)",
-                        atom.predicate.name()
-                    ));
-                }
-            }
-            if let Err(error) = failpoints::check("server.lock") {
-                return Response::Error(error.to_string());
-            }
-            let Ok(mut engine) = shared.engine.lock() else {
-                shared.degraded.store(true, Ordering::SeqCst);
-                return Response::Error(ENGINE_UNAVAILABLE.into());
-            };
-            match engine.ingest(&facts) {
-                Ok(outcome) => {
-                    // Publish while still holding the engine lock: were the
-                    // engine released first, a concurrent ingest could
-                    // publish a *newer* epoch in the gap and this store
-                    // would regress the served snapshot to a stale one.
-                    // Lock order is always engine → published, and queries
-                    // take only `published`, so this cannot deadlock.
-                    let snapshot = engine.engine().snapshot();
-                    *shared
-                        .published
-                        .write()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner()) = snapshot;
-                    drop(engine);
-                    Response::ingest(&outcome)
-                }
-                // A rejected batch left the instance untouched (the engine
-                // validates before applying; a durability failure rolls the
-                // log back before the engine is touched) — report and keep
-                // serving.
-                Err(error) => Response::Error(error.to_string()),
-            }
-        }
+    dispatch(shared, verb, request).unwrap_or_else(|refusal| refusal)
+}
+
+/// One function per verb. `Err` is a reply too — the structured refusal
+/// (`ERR engine-unavailable`, a tripped budget) that cut the verb short.
+fn dispatch(shared: &Shared, verb: Verb, request: Request) -> Result<Response, Response> {
+    Ok(match request {
+        Request::Ingest { facts, .. } => ingest(shared, &facts)?,
         Request::Query {
             query,
             timeout_ms,
             max_rows,
             mode,
-        } => {
-            let snapshot = shared.published_snapshot();
-            let budget = QueryBudget {
-                timeout: timeout_ms
-                    .map(Duration::from_millis)
-                    .or(shared.config.default_timeout),
-                max_rows: max_rows.or(shared.config.default_max_rows),
-            };
-            let started = Instant::now();
-            // No lock is held here: either path runs against the frozen
-            // snapshot, concurrently with any in-flight ingest. MAGIC and
-            // AUTO prefer the demand-driven path; a fallback (all-free
-            // query, EDB-only query, name collision, …) silently takes the
-            // full path, while a tripped budget is final — full evaluation
-            // could only be slower.
-            let mut magic: Option<(bool, u64)> = None;
-            let demanded = match mode {
-                QueryMode::Full => None,
-                QueryMode::Magic | QueryMode::Auto => {
-                    match shared.demand.answer(snapshot.instance(), &query, &budget) {
-                        Ok(answer) => {
-                            magic = Some((answer.cache_hit, answer.demanded_tuples));
-                            Some(Ok(answer.answers))
-                        }
-                        Err(DemandError::Fallback(_)) => None,
-                        Err(DemandError::Budget(exceeded)) => Some(Err(exceeded)),
-                    }
-                }
-            };
-            let answers = match demanded {
-                Some(result) => result,
-                None if budget.is_unlimited() => {
-                    Ok(query.evaluate_with_threads(&snapshot, shared.threads))
-                }
-                None => query.evaluate_budgeted(&snapshot, shared.threads, &budget),
-            };
-            match answers {
-                Ok(answers) => {
-                    let summary = match magic {
-                        Some((cache_hit, demanded_tuples)) => format!(
-                            "path=magic cache={} demanded_tuples={demanded_tuples} answers={}",
-                            if cache_hit { "hit" } else { "miss" },
-                            answers.len()
-                        ),
-                        None => format!("path=full answers={}", answers.len()),
-                    };
-                    maybe_slow(
-                        shared,
-                        started.elapsed().as_micros() as u64,
-                        "query",
-                        &query,
-                        summary,
-                    );
-                    Response::Answers {
-                        epoch: snapshot.epoch(),
-                        tuples: answers.into_iter().collect(),
-                    }
-                }
-                Err(exceeded) => budget_error(exceeded, &budget),
-            }
         }
-        Request::Explain { query, mode } => {
-            // Plan-only: nothing is evaluated and no lock is taken. The
-            // demand cache is consulted (and warmed) so the decision line
-            // can report hit/miss truthfully for the *next* query of this
-            // binding pattern.
-            let snapshot = shared.published_snapshot();
-            let prefer_magic = !matches!(mode, QueryMode::Full);
-            let cache_hit = if prefer_magic {
-                shared.demand.specialised(&query).ok().map(|(_, hit)| hit)
-            } else {
-                None
-            };
-            let report = explain_query(
-                shared.demand.program(),
-                snapshot.instance(),
-                &query,
-                prefer_magic,
-                cache_hit,
-            );
-            Response::Framed {
-                label: "explain",
-                info: format!("epoch={} magic={}", snapshot.epoch(), report.magic),
-                lines: report.lines,
-            }
-        }
-        Request::Profile {
+        | Request::Profile {
             query,
             timeout_ms,
             max_rows,
             mode,
-        } => {
-            let snapshot = shared.published_snapshot();
-            let budget = QueryBudget {
-                timeout: timeout_ms
-                    .map(Duration::from_millis)
-                    .or(shared.config.default_timeout),
-                max_rows: max_rows.or(shared.config.default_max_rows),
-            };
-            let started = Instant::now();
-            // Same path selection as QUERY; the profiled demand answer is
-            // bit-identical to the unprofiled one.
-            let demanded = match mode {
-                QueryMode::Full => None,
-                QueryMode::Magic | QueryMode::Auto => {
-                    match shared
-                        .demand
-                        .answer_profiled(snapshot.instance(), &query, &budget)
-                    {
-                        Ok(profiled) => Some(Ok(profiled)),
-                        Err(DemandError::Fallback(_)) => None,
-                        Err(DemandError::Budget(exceeded)) => Some(Err(exceeded)),
-                    }
-                }
-            };
-            match demanded {
-                Some(Ok((answer, profile))) => {
-                    let cache = if answer.cache_hit { "hit" } else { "miss" };
-                    let mut lines = vec![
-                        format!(
-                            "phase=rewrite wall_micros={} cache={cache}",
-                            profile.rewrite_micros
-                        ),
-                        format!(
-                            "phase=seed wall_micros={} seed_facts={}",
-                            profile.seed_micros, profile.seed_facts
-                        ),
-                    ];
-                    for (stratum, rounds) in profile.strata.iter().enumerate() {
-                        for round in rounds {
-                            lines.push(format!(
-                                "phase=stratum stratum={stratum} round={} wall_micros={} \
-                                 delta_rows={} derived_rows={} join_probes={} rows_prededuped={}",
-                                round.round,
-                                round.wall_micros,
-                                round.delta_rows,
-                                round.derived_rows,
-                                round.join_probes,
-                                round.rows_prededuped
-                            ));
-                        }
-                    }
-                    lines.push(format!(
-                        "phase=answer wall_micros={}",
-                        profile.answer_micros
-                    ));
-                    let wall = started.elapsed().as_micros() as u64;
-                    let stats = profile.stats;
-                    lines.push(format!(
-                        "totals wall_micros={wall} joins_evaluated={} join_probes={} \
-                         composite_probes={} misses_filtered={} rows_prededuped={} \
-                         demanded_tuples={} scratch_atoms={} answers={}",
-                        stats.joins_evaluated,
-                        stats.join_probes,
-                        stats.composite_probes,
-                        stats.probe_misses_filtered,
-                        stats.rows_prededuped,
-                        answer.demanded_tuples,
-                        answer.scratch_atoms,
-                        answer.answers.len()
-                    ));
-                    maybe_slow(
-                        shared,
-                        wall,
-                        "profile",
-                        &query,
-                        format!(
-                            "path=magic cache={cache} demanded_tuples={} answers={}",
-                            answer.demanded_tuples,
-                            answer.answers.len()
-                        ),
-                    );
-                    Response::Framed {
-                        label: "profile",
-                        info: format!(
-                            "answers={} epoch={} path=magic cache={cache}",
-                            answer.answers.len(),
-                            snapshot.epoch()
-                        ),
-                        lines,
-                    }
-                }
-                Some(Err(exceeded)) => budget_error(exceeded, &budget),
-                None => {
-                    let eval_started = Instant::now();
-                    let answers = if budget.is_unlimited() {
-                        Ok(query.evaluate_with_threads(&snapshot, shared.threads))
-                    } else {
-                        query.evaluate_budgeted(&snapshot, shared.threads, &budget)
-                    };
-                    match answers {
-                        Ok(answers) => {
-                            let answer_micros = eval_started.elapsed().as_micros() as u64;
-                            let wall = started.elapsed().as_micros() as u64;
-                            let lines = vec![
-                                format!("phase=answer wall_micros={answer_micros}"),
-                                format!(
-                                    "totals wall_micros={wall} materialised_atoms={} answers={}",
-                                    snapshot.instance().len(),
-                                    answers.len()
-                                ),
-                            ];
-                            maybe_slow(
-                                shared,
-                                wall,
-                                "profile",
-                                &query,
-                                format!("path=full answers={}", answers.len()),
-                            );
-                            Response::Framed {
-                                label: "profile",
-                                info: format!(
-                                    "answers={} epoch={} path=full",
-                                    answers.len(),
-                                    snapshot.epoch()
-                                ),
-                                lines,
-                            }
-                        }
-                        Err(exceeded) => budget_error(exceeded, &budget),
-                    }
-                }
-            }
-        }
-        Request::Validate { source } => {
-            // A dry run against the serving schema: no engine lock, no
-            // state change beyond the counters.
-            let options = AnalyzerOptions {
-                require_datalog: true,
-                known_edb: shared.serving_edb.clone(),
-                known_arities: shared.serving_arities.clone(),
-                query: None,
-            };
-            let (_, report) = analyze_source(&source, &options);
-            shared
-                .diagnostics_emitted
-                .fetch_add(report.diagnostics.len() as u64, Ordering::SeqCst);
-            let admissible =
-                report.admissible() || shared.config.admission == AdmissionPolicy::WarnOnly;
-            if !admissible {
-                shared.programs_rejected.fetch_add(1, Ordering::SeqCst);
-            }
-            Response::Diagnostics {
-                admissible,
-                diagnostics: report.diagnostics,
-            }
-        }
-        Request::Stats { slow: Some(n) } => Response::Framed {
-            label: "slow",
-            info: format!(
-                "threshold_micros={}",
-                shared
-                    .config
-                    .slow_query_micros
-                    .map_or_else(|| "disabled".to_string(), |t| t.to_string())
-            ),
-            lines: shared.slow_log.recent(n),
+        } => match run_query(shared, verb, &query, timeout_ms, max_rows, mode)? {
+            run if verb == Verb::Profile => render_profile(&run),
+            run => Response::Answers {
+                epoch: run.snapshot.epoch(),
+                tuples: run.answers.into_iter().collect(),
+            },
         },
+        Request::Explain { query, mode } => explain(shared, &query, mode),
+        Request::Validate { source } => validate(shared, &source),
+        Request::Stats { slow: Some(n) } => slow_queries(shared, n),
         Request::Stats { slow: None } => {
-            let Ok(engine) = shared.engine.lock() else {
-                shared.degraded.store(true, Ordering::SeqCst);
-                return Response::Error(ENGINE_UNAVAILABLE.into());
-            };
-            let (wal_records, wal_bytes, snapshots_written, snapshot_failures) = engine.wal_stats();
-            let inner = engine.engine();
-            let stats = inner.stats();
-            let demand = shared.demand.stats();
-            Response::Ok(format!(
-                "{{\"schema_version\":{STATS_SCHEMA_VERSION},\
-                 \"epoch\":{},\"atoms\":{},\"derived_atoms\":{},\"iterations\":{},\
-                 \"rounds_incremental\":{},\"strata_skipped\":{},\"joins_evaluated\":{},\
-                 \"join_probes\":{},\"index_bytes\":{},\"wal_records\":{},\"wal_bytes\":{},\
-                 \"snapshots_written\":{},\"snapshot_failures\":{},\"programs_rejected\":{},\
-                 \"diagnostics_emitted\":{},\"magic_queries\":{},\"magic_cache_hits\":{},\
-                 \"demanded_tuples\":{},\"full_materialised_tuples\":{},\"slow_queries\":{},\
-                 \"transport\":{},\
-                 \"latency\":{},\"degraded\":{}}}",
-                inner.epoch(),
-                inner.instance().len(),
-                stats.derived_atoms,
-                stats.iterations,
-                stats.rounds_incremental,
-                stats.strata_skipped,
-                stats.joins_evaluated,
-                stats.join_probes,
-                inner.instance().index_bytes(),
-                wal_records,
-                wal_bytes,
-                snapshots_written,
-                snapshot_failures,
-                shared.programs_rejected.load(Ordering::SeqCst),
-                shared.diagnostics_emitted.load(Ordering::SeqCst),
-                demand.magic_queries,
-                demand.magic_cache_hits,
-                demand.demanded_tuples,
-                inner.instance().len(),
-                shared.slow_log.len(),
-                shared.transport.render(),
-                shared.latency.render(),
-                shared.degraded.load(Ordering::SeqCst),
-            ))
+            Response::Ok(metrics::stats_json(&*shared.lock_engine()?, shared))
         }
-        Request::Metrics => {
-            let Ok(engine) = shared.engine.lock() else {
-                shared.degraded.store(true, Ordering::SeqCst);
-                return Response::Error(ENGINE_UNAVAILABLE.into());
-            };
-            let (wal_records, wal_bytes, snapshots_written, snapshot_failures) = engine.wal_stats();
-            let inner = engine.engine();
-            let stats = *inner.stats();
-            let epoch = inner.epoch();
-            let atoms = inner.instance().len() as u64;
-            let index_bytes = inner.instance().index_bytes() as u64;
-            drop(engine);
-            let demand = shared.demand.stats();
-            let transport = &shared.transport;
-            let mut lines = Vec::new();
-            metrics::gauge(
-                &mut lines,
-                "vadalog_stats_schema_version",
-                "Version of the STATS JSON schema this server speaks.",
-                STATS_SCHEMA_VERSION,
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_epoch",
-                "Snapshot epoch of the served materialisation.",
-                epoch,
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_atoms",
-                "Atoms (EDB + IDB) in the live materialisation.",
-                atoms,
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_index_bytes",
-                "Bytes held by the live instance's join indexes.",
-                index_bytes,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_iterations_total",
-                "Semi-naive iterations summed over all strata.",
-                stats.iterations as u64,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_joins_evaluated_total",
-                "Join-kernel invocations.",
-                stats.joins_evaluated as u64,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_join_probes_total",
-                "Candidate rows examined across all join-kernel invocations.",
-                stats.join_probes,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_composite_probes_total",
-                "Probe steps answered by a composite fused-key index.",
-                stats.composite_probes,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_probe_misses_filtered_total",
-                "Index probes skipped by the fingerprint filter.",
-                stats.probe_misses_filtered,
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_wal_records",
-                "Records in the write-ahead log since the last snapshot.",
-                wal_records,
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_wal_bytes",
-                "Bytes in the write-ahead log since the last snapshot.",
-                wal_bytes,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_snapshots_written_total",
-                "Durable snapshots written.",
-                snapshots_written,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_snapshot_failures_total",
-                "Durable snapshot attempts that failed.",
-                snapshot_failures,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_programs_rejected_total",
-                "Candidate programs rejected by the admission gate.",
-                shared.programs_rejected.load(Ordering::SeqCst),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_diagnostics_emitted_total",
-                "Diagnostics emitted by VALIDATE requests.",
-                shared.diagnostics_emitted.load(Ordering::SeqCst),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_magic_queries_total",
-                "Queries answered through the demand-driven (magic) path.",
-                demand.magic_queries,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_magic_cache_hits_total",
-                "Magic queries whose specialised program was cached.",
-                demand.magic_cache_hits,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_demanded_tuples_total",
-                "Tuples derived across all demand-driven evaluations.",
-                demand.demanded_tuples,
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_connections_accepted_total",
-                "Connections accepted by the reactor.",
-                transport.connections_accepted.load(Ordering::Relaxed),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_connections_rejected_total",
-                "Connections rejected by admission control.",
-                transport.connections_rejected.load(Ordering::Relaxed),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_connections_closed_total",
-                "Connections closed for any reason.",
-                transport.connections_closed.load(Ordering::Relaxed),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_requests_received_total",
-                "Request lines received (including ones that failed to parse).",
-                transport.requests_received.load(Ordering::Relaxed),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_requests_served_total",
-                "Requests answered by the handler.",
-                transport.requests_served.load(Ordering::Relaxed),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_requests_failed_total",
-                "Requests that failed (parse errors, drops, drain rejects).",
-                transport.requests_failed.load(Ordering::Relaxed),
-            );
-            metrics::counter(
-                &mut lines,
-                "vadalog_queries_shed_total",
-                "Requests shed by queue-depth admission control.",
-                transport.queries_shed.load(Ordering::Relaxed),
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_queue_depth_max",
-                "High-water mark of the job queue depth.",
-                transport.queue_depth_max.load(Ordering::Relaxed),
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_slow_queries",
-                "Slow-query records currently retained in the bounded log.",
-                shared.slow_log.len() as u64,
-            );
-            metrics::gauge(
-                &mut lines,
-                "vadalog_degraded",
-                "1 when a writer panic has poisoned the engine mutex.",
-                u64::from(shared.degraded.load(Ordering::SeqCst)),
-            );
-            metrics::latency_family(&mut lines, &shared.latency);
-            Response::Framed {
-                label: "metrics",
-                info: String::new(),
-                lines,
-            }
-        }
-        Request::Snapshot => {
-            let Ok(mut engine) = shared.engine.lock() else {
-                shared.degraded.store(true, Ordering::SeqCst);
-                return Response::Error(ENGINE_UNAVAILABLE.into());
-            };
-            match engine.snapshot_now() {
-                Ok(()) => Response::Ok(format!("snapshot epoch={}", engine.engine().epoch())),
-                Err(error) => Response::Error(error.to_string()),
-            }
-        }
+        Request::Metrics => Response::Framed {
+            label: "metrics",
+            info: String::new(),
+            lines: metrics::exposition(&*shared.lock_engine()?, shared),
+        },
+        Request::Snapshot => snapshot(shared)?,
         Request::Shutdown => {
             // Normally intercepted inline by the reactor (so it cannot be
             // starved by a saturated worker pool); kept here so the
@@ -808,6 +232,329 @@ pub(crate) fn handle_request(shared: &Shared, request: Request) -> Response {
             shared.waker.wake();
             Response::Ok("bye".into())
         }
+    })
+}
+
+/// `FACT` / `BATCH`: one ingest, published as a fresh epoch snapshot.
+fn ingest(shared: &Shared, facts: &[Atom]) -> Result<Response, Response> {
+    // Fail-closed admission: ingest may only feed extensional relations —
+    // the engine itself would accept a fact over a derived predicate and
+    // silently mix asserted and derived tuples in a rule-owned relation.
+    if shared.config.admission == AdmissionPolicy::FailClosed {
+        if let Some(atom) = facts
+            .iter()
+            .find(|a| shared.serving_idb.contains(&a.predicate))
+        {
+            shared.diagnostics_emitted.fetch_add(1, Ordering::SeqCst);
+            return Err(Response::Error(format!(
+                "fact targets derived predicate `{}`: ingest may only feed extensional \
+                 relations (VLG010)",
+                atom.predicate.name()
+            )));
+        }
+    }
+    failpoints::check("server.lock").map_err(|error| Response::Error(error.to_string()))?;
+    let mut engine = shared.lock_engine()?;
+    // A rejected batch left the instance untouched (the engine validates
+    // before applying; a durability failure rolls the log back before the
+    // engine is touched) — report and keep serving.
+    let outcome = engine
+        .ingest(facts)
+        .map_err(|error| Response::Error(error.to_string()))?;
+    // Publish while still holding the engine lock: were the engine released
+    // first, a concurrent ingest could publish a *newer* epoch in the gap
+    // and this store would regress the served snapshot to a stale one. Lock
+    // order is always engine → published, and queries take only
+    // `published`, so this cannot deadlock.
+    *shared
+        .published
+        .write()
+        .unwrap_or_else(|poisoned| poisoned.into_inner()) = engine.engine().snapshot();
+    Ok(Response::ingest(&outcome))
+}
+
+/// `SNAPSHOT`: persist the engine state now and truncate the WAL.
+fn snapshot(shared: &Shared) -> Result<Response, Response> {
+    let mut engine = shared.lock_engine()?;
+    engine
+        .snapshot_now()
+        .map_err(|error| Response::Error(error.to_string()))?;
+    Ok(Response::Ok(format!(
+        "snapshot epoch={}",
+        engine.engine().epoch()
+    )))
+}
+
+/// Why a request must take the full path (the reason `EXPLAIN` prints), or
+/// `None` when the demand path may answer it. The demand engine projects
+/// only extensional relations out of the snapshot, so it is sound only
+/// while derived relations hold nothing but derived rows — which
+/// fail-closed admission guarantees and `WarnOnly` does not.
+fn full_path_reason(shared: &Shared, mode: QueryMode) -> Option<&'static str> {
+    if mode == QueryMode::Full {
+        Some("mode=full requested")
+    } else if shared.config.admission != AdmissionPolicy::FailClosed {
+        Some("admission=warn-only (derived relations may hold asserted facts)")
+    } else {
+        None
+    }
+}
+
+/// What the query step shared by `QUERY` and `PROFILE` produced; the verbs
+/// differ only in what they render from it.
+struct QueryRun {
+    snapshot: InstanceSnapshot,
+    answers: BTreeSet<Vec<Symbol>>,
+    /// The demand path's bookkeeping (its answers moved into `answers`)
+    /// and, for `PROFILE`, its phase breakdown; `None` when the full path
+    /// answered.
+    demand: Option<(DemandAnswer, Option<DemandProfile>)>,
+    /// Wall micros of the full path's evaluation (0 on the demand path,
+    /// which times its own phases).
+    eval_micros: u64,
+    wall_micros: u64,
+}
+
+impl QueryRun {
+    /// `path=magic cache=<hit|miss>` or `path=full`.
+    fn path(&self) -> &'static str {
+        match &self.demand {
+            Some((answer, _)) if answer.cache_hit => "path=magic cache=hit",
+            Some(_) => "path=magic cache=miss",
+            None => "path=full",
+        }
+    }
+
+    /// The slow-log record's `key=value` summary.
+    fn summary(&self) -> String {
+        let demanded = match &self.demand {
+            Some((answer, _)) => format!(" demanded_tuples={}", answer.demanded_tuples),
+            None => String::new(),
+        };
+        format!("{}{demanded} answers={}", self.path(), self.answers.len())
+    }
+}
+
+/// The query step: published snapshot → budget (request options over the
+/// server defaults) → path choice → evaluation → slow-log. `Err` carries
+/// the structured budget error. No lock is held while evaluating: either
+/// path runs against the frozen snapshot, concurrently with any in-flight
+/// ingest.
+fn run_query(
+    shared: &Shared,
+    verb: Verb,
+    query: &ConjunctiveQuery,
+    timeout_ms: Option<u64>,
+    max_rows: Option<usize>,
+    mode: QueryMode,
+) -> Result<QueryRun, Response> {
+    let snapshot = shared.published_snapshot();
+    let budget = QueryBudget {
+        timeout: timeout_ms
+            .map(Duration::from_millis)
+            .or(shared.config.default_timeout),
+        max_rows: max_rows.or(shared.config.default_max_rows),
+    };
+    let budget_error = |exceeded| {
+        Response::Error(match exceeded {
+            BudgetExceeded::Deadline => format!(
+                "deadline timeout_ms={}",
+                budget.timeout.map_or(0, |t| t.as_millis() as u64)
+            ),
+            BudgetExceeded::RowLimit => {
+                format!("row-limit max_rows={}", budget.max_rows.unwrap_or(0))
+            }
+            BudgetExceeded::Cancelled => "cancelled".into(),
+        })
+    };
+    let started = Instant::now();
+    // A demand fallback (all-free query, EDB-only query, name collision, …)
+    // silently takes the full path, while a tripped budget is final — full
+    // evaluation could only be slower. The profiled demand answer is
+    // bit-identical to the unprofiled one.
+    let mut demand = None;
+    if full_path_reason(shared, mode).is_none() {
+        let base = snapshot.instance();
+        let answered = if verb == Verb::Profile {
+            shared
+                .demand
+                .answer_profiled(base, query, &budget)
+                .map(|(answer, profile)| (answer, Some(profile)))
+        } else {
+            shared
+                .demand
+                .answer(base, query, &budget)
+                .map(|answer| (answer, None))
+        };
+        match answered {
+            Ok(answered) => demand = Some(answered),
+            Err(DemandError::Fallback(_)) => {}
+            Err(DemandError::Budget(exceeded)) => return Err(budget_error(exceeded)),
+        }
+    }
+    let (answers, eval_micros) = match &mut demand {
+        Some((answer, _)) => (std::mem::take(&mut answer.answers), 0),
+        None => {
+            let eval_started = Instant::now();
+            let answers = if budget.is_unlimited() {
+                query.evaluate_with_threads(&snapshot, shared.threads)
+            } else {
+                query
+                    .evaluate_budgeted(&snapshot, shared.threads, &budget)
+                    .map_err(budget_error)?
+            };
+            (answers, eval_started.elapsed().as_micros() as u64)
+        }
+    };
+    let run = QueryRun {
+        snapshot,
+        answers,
+        demand,
+        eval_micros,
+        wall_micros: started.elapsed().as_micros() as u64,
+    };
+    if shared
+        .config
+        .slow_query_micros
+        .is_some_and(|threshold| run.wall_micros >= threshold)
+    {
+        shared.slow_log.push(SlowQueryRecord {
+            wall_micros: run.wall_micros,
+            verb: verb.name(),
+            query: query.to_string(),
+            summary: run.summary(),
+        });
+    }
+    Ok(run)
+}
+
+/// `PROFILE`: the per-phase breakdown instead of the tuples.
+fn render_profile(run: &QueryRun) -> Response {
+    let (wall, answers) = (run.wall_micros, run.answers.len());
+    let info = format!(
+        "answers={answers} epoch={} {}",
+        run.snapshot.epoch(),
+        run.path()
+    );
+    let mut lines = Vec::new();
+    match &run.demand {
+        Some((answer, profile)) => {
+            let profile = profile.as_ref().expect("PROFILE runs the profiled path");
+            lines.push(format!(
+                "phase=rewrite wall_micros={} cache={}",
+                profile.rewrite_micros,
+                if answer.cache_hit { "hit" } else { "miss" }
+            ));
+            lines.push(format!(
+                "phase=seed wall_micros={} seed_facts={}",
+                profile.seed_micros, profile.seed_facts
+            ));
+            for (stratum, rounds) in profile.strata.iter().enumerate() {
+                for round in rounds {
+                    lines.push(format!(
+                        "phase=stratum stratum={stratum} round={} wall_micros={} \
+                         delta_rows={} derived_rows={} join_probes={} rows_prededuped={}",
+                        round.round,
+                        round.wall_micros,
+                        round.delta_rows,
+                        round.derived_rows,
+                        round.join_probes,
+                        round.rows_prededuped
+                    ));
+                }
+            }
+            lines.push(format!(
+                "phase=answer wall_micros={}",
+                profile.answer_micros
+            ));
+            let stats = profile.stats;
+            lines.push(format!(
+                "totals wall_micros={wall} joins_evaluated={} join_probes={} \
+                 composite_probes={} misses_filtered={} rows_prededuped={} \
+                 demanded_tuples={} scratch_atoms={} answers={answers}",
+                stats.joins_evaluated,
+                stats.join_probes,
+                stats.composite_probes,
+                stats.probe_misses_filtered,
+                stats.rows_prededuped,
+                answer.demanded_tuples,
+                answer.scratch_atoms,
+            ));
+        }
+        None => {
+            lines.push(format!("phase=answer wall_micros={}", run.eval_micros));
+            lines.push(format!(
+                "totals wall_micros={wall} materialised_atoms={} answers={answers}",
+                run.snapshot.instance().len(),
+            ));
+        }
+    }
+    Response::Framed {
+        label: "profile",
+        info,
+        lines,
+    }
+}
+
+/// `EXPLAIN`: plan-only — nothing is evaluated and no lock is taken. The
+/// demand cache is consulted (and warmed) so the decision line can report
+/// hit/miss truthfully for the *next* query of this binding pattern.
+fn explain(shared: &Shared, query: &ConjunctiveQuery, mode: QueryMode) -> Response {
+    let snapshot = shared.published_snapshot();
+    let full_reason = full_path_reason(shared, mode);
+    let cache_hit = match full_reason {
+        None => shared.demand.specialised(query).ok().map(|(_, hit)| hit),
+        Some(_) => None,
+    };
+    let report = explain_query(
+        shared.demand.program(),
+        snapshot.instance(),
+        query,
+        full_reason,
+        cache_hit,
+    );
+    Response::Framed {
+        label: "explain",
+        info: format!("epoch={} magic={}", snapshot.epoch(), report.magic),
+        lines: report.lines,
+    }
+}
+
+/// `VALIDATE`: a dry run against the serving schema — no engine lock, no
+/// state change beyond the counters.
+fn validate(shared: &Shared, source: &str) -> Response {
+    let options = AnalyzerOptions {
+        require_datalog: true,
+        known_edb: shared.serving_edb.clone(),
+        known_arities: shared.serving_arities.clone(),
+        query: None,
+    };
+    let (_, report) = analyze_source(source, &options);
+    shared
+        .diagnostics_emitted
+        .fetch_add(report.diagnostics.len() as u64, Ordering::SeqCst);
+    let admissible = report.admissible() || shared.config.admission == AdmissionPolicy::WarnOnly;
+    if !admissible {
+        shared.programs_rejected.fetch_add(1, Ordering::SeqCst);
+    }
+    Response::Diagnostics {
+        admissible,
+        diagnostics: report.diagnostics,
+    }
+}
+
+/// `STATS SLOW=<n>`: the newest `n` slow-query records.
+fn slow_queries(shared: &Shared, n: usize) -> Response {
+    Response::Framed {
+        label: "slow",
+        info: format!(
+            "threshold_micros={}",
+            shared
+                .config
+                .slow_query_micros
+                .map_or_else(|| "disabled".to_string(), |t| t.to_string())
+        ),
+        lines: shared.slow_log.recent(n),
     }
 }
 
@@ -1357,8 +1104,24 @@ mod tests {
         let asserted = client.send("FACT t(q, r).");
         assert!(asserted[0].starts_with("OK inserted=1 "), "{asserted:?}");
 
+        // The asserted row lives in a derived relation, which the demand
+        // path never reads: every mode answers from the materialisation.
+        let full = client.send("QUERY MODE=FULL ?(Y) :- t(q, Y).");
+        assert_eq!(full, vec!["OK answers=1 epoch=2", "r", "END"]);
+        assert_eq!(client.send("QUERY ?(Y) :- t(q, Y)."), full);
+        assert_eq!(client.send("QUERY MODE=MAGIC ?(Y) :- t(q, Y)."), full);
+        let explain = client.send("EXPLAIN ?(Y) :- t(q, Y).");
+        assert!(explain[0].ends_with("magic=false"), "{explain:?}");
+        assert!(
+            explain
+                .iter()
+                .any(|l| l.starts_with("decision full reason=admission=warn-only")),
+            "{explain:?}"
+        );
+
         let stats = client.send("STATS");
         assert!(stats[0].contains("\"programs_rejected\":0"), "{stats:?}");
+        assert!(stats[0].contains("\"magic_queries\":0"), "{stats:?}");
 
         client.send("SHUTDOWN");
         drop(client);
@@ -1566,6 +1329,162 @@ mod tests {
         client.send("SHUTDOWN");
         drop(client);
         server.join();
+    }
+
+    /// The keys of the JSON object that opens right after `anchor`, in
+    /// order (nested objects are skipped; values here are never strings).
+    fn object_keys(json: &str, anchor: &str) -> Vec<String> {
+        let body = &json[json.find(anchor).expect("anchor present") + anchor.len()..];
+        let (mut depth, mut keys) = (0usize, Vec::new());
+        for (at, c) in body.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' if depth == 1 => break,
+                '}' => depth -= 1,
+                '"' if depth == 1 && body[..at].ends_with(['{', ',']) => {
+                    let key = &body[at + 1..];
+                    keys.push(key[..key.find('"').expect("closing quote")].to_string());
+                }
+                _ => {}
+            }
+        }
+        keys
+    }
+
+    /// Clients parse `STATS` by key and, in places, by position: the keys
+    /// that existed at schema version 1 keep their names and their order.
+    #[test]
+    fn stats_keys_clients_parse_keep_their_names_and_order() {
+        let server = start(engine());
+        let mut client = Client::connect(server.addr());
+        let stats = client.send("STATS").remove(0);
+        let pinned = [
+            "schema_version",
+            "epoch",
+            "atoms",
+            "derived_atoms",
+            "iterations",
+            "rounds_incremental",
+            "strata_skipped",
+            "joins_evaluated",
+            "join_probes",
+            "index_bytes",
+            "wal_records",
+            "wal_bytes",
+            "snapshots_written",
+            "snapshot_failures",
+            "programs_rejected",
+            "diagnostics_emitted",
+            "magic_queries",
+            "magic_cache_hits",
+            "demanded_tuples",
+            "full_materialised_tuples",
+            "slow_queries",
+            "transport",
+            "latency",
+            "degraded",
+        ];
+        // New keys are additive: dropping them leaves exactly the pinned
+        // list, in the pinned order.
+        let mut keys = object_keys(&stats, "OK ");
+        keys.retain(|key| pinned.contains(&key.as_str()));
+        assert_eq!(keys, pinned, "{stats}");
+        assert_eq!(
+            object_keys(&stats, "\"transport\":"),
+            [
+                "connections_accepted",
+                "connections_rejected",
+                "connections_closed",
+                "requests_received",
+                "requests_served",
+                "requests_failed",
+                "queries_shed",
+                "queue_depth_max",
+            ],
+            "{stats}"
+        );
+        assert_eq!(
+            object_keys(&stats, "\"latency\":"),
+            Verb::ALL.map(Verb::name),
+            "{stats}"
+        );
+        client.send("SHUTDOWN");
+        drop(client);
+        server.join();
+    }
+
+    /// Every registered scalar is reported exactly once by `STATS`, once as
+    /// a typed family by `METRICS`, and once in the crate-doc schema table
+    /// — and none of the three carries a scalar the registry lacks.
+    #[test]
+    fn stats_metrics_and_the_schema_docs_all_render_the_registry() {
+        let server = start(engine());
+        let mut client = Client::connect(server.addr());
+        let stats = client.send("STATS").remove(0);
+        let metrics = client.send("METRICS");
+        let exposition = &metrics[1..metrics.len() - 1];
+        validate_exposition(exposition);
+        client.send("SHUTDOWN");
+        drop(client);
+        server.join();
+
+        let keys = |scalars: &[metrics::Scalar]| -> Vec<&str> {
+            scalars.iter().map(|scalar| scalar.key).collect()
+        };
+        let objects = vec!["transport", "latency", metrics::DEGRADED.key];
+        assert_eq!(
+            object_keys(&stats, "OK "),
+            [keys(metrics::TOP_LEVEL), objects].concat(),
+            "top-level STATS keys vs registry"
+        );
+        assert_eq!(
+            object_keys(&stats, "\"transport\":"),
+            keys(metrics::TRANSPORT),
+            "STATS transport keys vs registry"
+        );
+
+        let typed: Vec<String> = exposition
+            .iter()
+            .filter_map(|line| line.strip_prefix("# TYPE "))
+            .filter(|family| !family.starts_with("vadalog_request_duration_micros "))
+            .map(str::to_string)
+            .collect();
+        let expected: Vec<String> = metrics::scalars()
+            .map(|scalar| format!("{} {}", scalar.metric_name(), scalar.kind.name()))
+            .collect();
+        assert_eq!(typed, expected, "METRICS families vs registry");
+
+        let documented: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .skip_while(|line| !line.starts_with("//! # STATS schema"))
+            .take_while(|line| !line.starts_with("//! # METRICS exposition"))
+            .filter(|line| line.starts_with("//! | `") && !line.starts_with("//! | `STATS`"))
+            .collect();
+        let sections = [
+            ("", metrics::TOP_LEVEL),
+            ("transport.", metrics::TRANSPORT),
+            ("", std::slice::from_ref(&metrics::DEGRADED)),
+        ];
+        let rows: Vec<String> = sections
+            .iter()
+            .flat_map(|(prefix, scalars)| {
+                scalars.iter().map(move |scalar| {
+                    format!(
+                        "//! | `{prefix}{}` | `{}` | {} | {} |",
+                        scalar.key,
+                        scalar.metric_name(),
+                        scalar.kind.name(),
+                        scalar.help
+                    )
+                })
+            })
+            .collect();
+        assert_eq!(
+            documented,
+            rows,
+            "the lib.rs STATS schema table must be exactly:\n{}",
+            rows.join("\n")
+        );
     }
 
     /// Extracts `key=<number>` from a rendered profile line.

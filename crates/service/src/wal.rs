@@ -632,34 +632,6 @@ mod tests {
     }
 
     #[test]
-    fn failed_appends_roll_back_cleanly() {
-        let _guard = failpoints::exclusive();
-        failpoints::clear_all();
-        let path = temp_path("rollback");
-        let mut wal = Wal::create(&path, SyncPolicy::Always).unwrap();
-        let facts = parse_fact_list("edge(a, b).").unwrap();
-        wal.append_batch(&facts).unwrap();
-
-        failpoints::fail_once("wal.append", Action::Error, 0);
-        assert!(wal.append_batch(&facts).is_err());
-        // The failed record is rolled back: sequence and length unchanged.
-        assert_eq!(wal.last_seq(), 1);
-        let scanned = replay(&path).unwrap();
-        assert_eq!(scanned.records.len(), 1);
-        assert_eq!(scanned.dropped_bytes, 0);
-
-        // A torn write leaves garbage on disk; the handle wedges (a real
-        // crash would not keep appending) and replay drops the torn tail.
-        failpoints::fail_once("wal.append", Action::TornWrite, 0);
-        assert!(wal.append_batch(&facts).is_err());
-        assert!(wal.append_batch(&facts).is_err(), "wedged after torn write");
-        let scanned = replay(&path).unwrap();
-        assert_eq!(scanned.records.len(), 1);
-        assert!(scanned.dropped_bytes > 0, "torn bytes dropped at replay");
-        failpoints::clear_all();
-    }
-
-    #[test]
     fn reset_truncates_but_keeps_sequencing_monotonic() {
         let path = temp_path("reset");
         let mut wal = Wal::create(&path, SyncPolicy::EveryN(8)).unwrap();

@@ -5,12 +5,14 @@
 //!
 //! The failpoint registry only exists in debug builds, so every test that
 //! arms a site is `#[cfg(debug_assertions)]`; the randomized kill/recover
-//! property needs no failpoints and runs in every profile.
+//! property needs no failpoints and runs in every profile. It and the
+//! clean-shutdown test still take `failpoints::exclusive()`: they run the
+//! same WAL sites their siblings arm, on parallel libtest threads.
 
 use std::path::PathBuf;
 use vadalog_model::parser::{parse_fact_list, parse_rules};
 use vadalog_model::Atom;
-use vadalog_service::{DurabilityConfig, DurableEngine, IncrementalEngine, SyncPolicy};
+use vadalog_service::{failpoints, DurabilityConfig, DurableEngine, IncrementalEngine, SyncPolicy};
 
 const TWO_CLOSURES: &str = "t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).\n\
                             s(X, Y) :- link(X, Y).\n s(X, Z) :- link(X, Y), s(Y, Z).";
@@ -69,6 +71,7 @@ fn assert_same_state(recovered: &IncrementalEngine, reference: &IncrementalEngin
 /// across sync policies and snapshot cadences.
 #[test]
 fn randomized_kill_and_recover_is_bit_identical_to_an_uncrashed_engine() {
+    let _guard = failpoints::exclusive();
     for (trial, seed) in [0x9e3779b97f4a7c15u64, 42, 7_777_777]
         .into_iter()
         .enumerate()
@@ -114,6 +117,7 @@ fn randomized_kill_and_recover_is_bit_identical_to_an_uncrashed_engine() {
 /// state.
 #[test]
 fn clean_shutdown_marker_round_trips_through_recovery() {
+    let _guard = failpoints::exclusive();
     let dir = temp_dir("clean-marker");
     let config = DurabilityConfig::new(&dir);
     let mut durable = DurableEngine::create(fresh_engine(), config.clone()).unwrap();
@@ -135,7 +139,8 @@ mod injected {
     use super::*;
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
-    use vadalog_service::failpoints::{self, Action};
+    use vadalog_service::failpoints::Action;
+    use vadalog_service::wal::{replay, Wal};
     use vadalog_service::{LiveServer, ServerConfig, ServiceError};
 
     /// A WAL append failure must roll back cleanly: the engine is untouched,
@@ -202,6 +207,39 @@ mod injected {
         // The torn batch was never acknowledged, so losing it is correct;
         // everything acknowledged survives.
         assert_same_state(recovered.engine(), &reference);
+        failpoints::clear_all();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The same two faults seen at the log itself: the sequence number, the
+    /// file length and the wedged handle.
+    #[test]
+    fn failed_appends_roll_back_cleanly() {
+        let _guard = failpoints::exclusive();
+        failpoints::clear_all();
+        let dir = temp_dir("wal-rollback");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let mut wal = Wal::create(&path, SyncPolicy::Always).unwrap();
+        let facts = parse_fact_list("edge(a, b).").unwrap();
+        wal.append_batch(&facts).unwrap();
+
+        failpoints::fail_once("wal.append", Action::Error, 0);
+        assert!(wal.append_batch(&facts).is_err());
+        // The failed record is rolled back: sequence and length unchanged.
+        assert_eq!(wal.last_seq(), 1);
+        let scanned = replay(&path).unwrap();
+        assert_eq!(scanned.records.len(), 1);
+        assert_eq!(scanned.dropped_bytes, 0);
+
+        // A torn write leaves garbage on disk; the handle wedges (a real
+        // crash would not keep appending) and replay drops the torn tail.
+        failpoints::fail_once("wal.append", Action::TornWrite, 0);
+        assert!(wal.append_batch(&facts).is_err());
+        assert!(wal.append_batch(&facts).is_err(), "wedged after torn write");
+        let scanned = replay(&path).unwrap();
+        assert_eq!(scanned.records.len(), 1);
+        assert!(scanned.dropped_bytes > 0, "torn bytes dropped at replay");
         failpoints::clear_all();
         let _ = std::fs::remove_dir_all(&dir);
     }

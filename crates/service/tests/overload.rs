@@ -4,12 +4,15 @@
 //! asserting the STATS transport counters balance
 //! (`requests_received` = `requests_served` + `queries_shed` +
 //! `requests_failed`) and that shed load never corrupts served state.
+//!
+//! Every test holds `failpoints::exclusive()`: the injected ones stall the
+//! process-global `reactor.job` site, which the others' servers run too.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 use vadalog_model::parser::parse_rules;
-use vadalog_service::{DurableEngine, IncrementalEngine, LiveServer, ServerConfig};
+use vadalog_service::{failpoints, DurableEngine, IncrementalEngine, LiveServer, ServerConfig};
 
 const CLOSURE: &str = "t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).";
 
@@ -62,6 +65,7 @@ fn stat(stats: &str, key: &str) -> u64 {
 
 #[test]
 fn connection_cap_rejects_with_structured_overload_error() {
+    let _guard = failpoints::exclusive();
     let config = ServerConfig {
         max_connections: 2,
         overload_retry_ms: 7,
@@ -119,7 +123,7 @@ mod injected {
     //! worker.
 
     use super::*;
-    use vadalog_service::failpoints::{self, Action};
+    use vadalog_service::failpoints::Action;
 
     #[test]
     fn queue_exhaustion_sheds_but_never_kills_admitted_requests() {
@@ -138,6 +142,11 @@ mod injected {
         let addr = server.addr();
         let mut seed = TcpStream::connect(addr).unwrap();
         assert!(send_line(&mut seed, "FACT edge(a, b).").starts_with("OK inserted=1"));
+        // The unloaded reference: what an admitted query must answer, to
+        // the byte, however overloaded the server is when it runs.
+        seed.write_all(b"QUERY ?(X, Y) :- t(X, Y).\n").unwrap();
+        let reference = read_counted(&mut BufReader::new(seed.try_clone().unwrap()));
+        assert_eq!(reference[0], "OK answers=1 epoch=1", "{reference:?}");
 
         // Stall the lone worker: the first query occupies it, the second
         // fills the queue, the third finds the queue at its cap.
@@ -159,14 +168,14 @@ mod injected {
         assert_eq!(shed, "ERR overloaded retry_ms=9");
         failpoints::clear_all();
 
-        // Both admitted queries complete with real answers.
+        // Both admitted queries complete with the reference answer:
+        // shedding is all-or-nothing, never a truncated answer set.
         for stream in [&mut first, &mut second] {
             stream
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
             let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let lines = read_counted(&mut reader);
-            assert_eq!(lines[0], "OK answers=1 epoch=1", "{lines:?}");
+            assert_eq!(read_counted(&mut reader), reference);
         }
         // The shed connection still gets service once pressure is gone.
         let retry = send_line(&mut third, "QUERY ?(X, Y) :- t(X, Y).");
@@ -232,6 +241,7 @@ mod injected {
 
 #[test]
 fn stalled_reader_is_cut_off_instead_of_pinning_buffers() {
+    let _guard = failpoints::exclusive();
     let config = ServerConfig {
         line_timeout: Duration::from_millis(500),
         poll_interval: Duration::from_millis(20),
@@ -304,6 +314,7 @@ fn stalled_reader_is_cut_off_instead_of_pinning_buffers() {
 
 #[test]
 fn connection_churn_counters_balance_and_durable_state_survives() {
+    let _guard = failpoints::exclusive();
     let dir = std::env::temp_dir().join(format!("vadalog-overload-churn-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let durability = vadalog_service::DurabilityConfig::new(&dir);

@@ -89,7 +89,7 @@ fn lint_file(path: &str) -> bool {
     // service's EXPLAIN verb returns — one shared renderer, no drift.
     // `cache_hit: None`: the CLI has no specialised-program cache.
     if let Some(query) = parsed.queries.first() {
-        let explained = explain_query(&parsed.program, instance, query, true, None);
+        let explained = explain_query(&parsed.program, instance, query, None, None);
         println!(
             "  explain path={}:",
             if explained.magic { "magic" } else { "full" }

@@ -7,7 +7,9 @@
 //!
 //! This lives in its own integration binary on purpose: the obs switches
 //! (`set_enabled`, the manual clock) are process-global, so sharing a
-//! binary with other tests would race them.
+//! binary with other tests would race them — and the tests in this binary
+//! hold [`OBS_SWITCHES`] for the same reason, since libtest runs them on
+//! parallel threads.
 //!
 //! The build environment is offline, so instead of `proptest` these use
 //! the in-tree seeded PRNG over a fixed number of deterministic cases.
@@ -15,10 +17,20 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::{Mutex, MutexGuard};
 use vadalog::datalog::{DatalogEngine, DatalogStats, DemandEngine, DemandError, IncrementalEngine};
 use vadalog::model::parser::{parse_query, parse_rules};
 use vadalog::model::{Atom, ConjunctiveQuery, Database, Program, QueryBudget, Symbol};
 use vadalog::obs;
+
+/// Serialises the tests of this binary: each toggles the process-global
+/// tracing switch and asserts on what was (not) recorded meanwhile.
+static OBS_SWITCHES: Mutex<()> = Mutex::new(());
+
+/// Poison-tolerant: one test failing must not fail the other by poisoning.
+fn obs_switches() -> MutexGuard<'static, ()> {
+    OBS_SWITCHES.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn arb_database(rng: &mut StdRng) -> Database {
     let n_edges = rng.gen_range(2..16usize);
@@ -84,6 +96,8 @@ type DemandObserved = (BTreeSet<Vec<Symbol>>, u64, usize, DatalogStats);
 struct Observed {
     /// Full materialisation: every engine counter.
     full_stats: DatalogStats,
+    /// Full materialisation: the per-relation row sets.
+    full_layout: Vec<(String, Vec<String>)>,
     /// Full materialisation: per-query answer sets (ground truth).
     full_answers: Vec<BTreeSet<Vec<Symbol>>>,
     /// Demand path per query: `None` on a (stable) magic fallback.
@@ -138,6 +152,7 @@ fn observe(
 
     Observed {
         full_stats: full.stats,
+        full_layout: full.instance.sorted_row_layout(),
         full_answers,
         demand,
         ingest: (
@@ -157,6 +172,7 @@ fn observe(
 /// record nothing, enabled runs record spans).
 #[test]
 fn tracing_never_changes_answers_or_counters() {
+    let _serial = obs_switches();
     // Deterministic timestamps; irrelevant to the compared outputs but it
     // keeps the traced runs themselves reproducible.
     obs::use_manual_clock();
@@ -209,6 +225,7 @@ fn tracing_never_changes_answers_or_counters() {
 /// flapping decision would make EXPLAIN lie).
 #[test]
 fn magic_fallbacks_are_stable_under_tracing() {
+    let _serial = obs_switches();
     let mut rng = StdRng::seed_from_u64(62);
     let budget = QueryBudget::unlimited();
     for _ in 0..6 {
