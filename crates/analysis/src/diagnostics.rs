@@ -22,7 +22,7 @@
 //! 3. **wardedness** ([`crate::wardedness`]): one diagnostic per dangerous
 //!    variable of every unwarded TGD, naming the candidate wards that failed
 //!    and why.
-//! 4. **recursion/stratification** ([`crate::stratify`],
+//! 4. **recursion/stratification** ([`mod@crate::stratify`],
 //!    [`crate::predicate_graph`]): the formalism is negation-free, so every
 //!    program stratifies; the analogue of a negative cycle is **existential
 //!    recursion** — a null-generating rule whose head lies on a predicate-

@@ -15,9 +15,9 @@
 //! * **single-head normalisation** used throughout Section 4.2
 //!   ([`normalize`]);
 //! * the **linearisation** rewriting of Section 1.2 that eliminates
-//!   unnecessary non-linear recursion ([`linearize`]);
+//!   unnecessary non-linear recursion ([`mod@linearize`]);
 //! * **stratification** of a program by its recursive components
-//!   ([`stratify`]);
+//!   ([`mod@stratify`]);
 //! * a **scenario classifier** combining all of the above, used to reproduce
 //!   the introduction's 55 % / 15 % / 30 % statistic ([`classify`]);
 //! * the **diagnostics engine** ([`diagnostics`], [`safety`]): a multi-pass
@@ -36,7 +36,7 @@
 //!
 //! # Diagnostic pass pipeline
 //!
-//! [`analyze`](diagnostics::analyze) runs, in order: safety/range
+//! [`analyze`] runs, in order: safety/range
 //! restriction, predicate-signature inference, wardedness, existential
 //! recursion, piece-wise linearity, plan-level dry runs, and (when a query
 //! is supplied) adornment. Every finding carries one of the stable codes

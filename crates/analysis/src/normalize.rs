@@ -10,7 +10,7 @@
 //!
 //! where `auxσ` is a fresh predicate holding every variable of the original
 //! head. Certain answers over the original schema are preserved (see
-//! Calì, Gottlob, Pieris 2012, cited as [11] in the paper).
+//! Calì, Gottlob, Pieris 2012, cited as \[11\] in the paper).
 
 use vadalog_model::{Atom, ModelError, Predicate, Program, Term, Tgd, Variable};
 

@@ -18,8 +18,6 @@
 //!   existential target dependencies (experiment E6);
 //! * [`fkjoin`] — 2-key foreign-key join chains whose every join binds a
 //!   two-column key (the composite-index workload);
-//! * [`delta`] — delta-stream workloads (base database + small fact
-//!   batches) for incremental ingestion;
 //! * [`magic`] — bound-query reachability workloads (disjoint chains, so
 //!   full-closure size vs per-query demand is a structural property) for
 //!   the magic-sets path.
@@ -28,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod data_exchange;
-pub mod delta;
 pub mod fkjoin;
 pub mod graphs;
 pub mod iwarded;
@@ -36,7 +33,6 @@ pub mod magic;
 pub mod owl;
 
 pub use data_exchange::data_exchange_scenario;
-pub use delta::{two_closure_delta_stream, DeltaStreamScenario, TWO_CLOSURE_PROGRAM};
 pub use fkjoin::{fk_join_scenario, FkJoinScenario};
 pub use graphs::{chain_graph, grid_graph, preferential_attachment, random_graph};
 pub use iwarded::{iwarded_scenario, ScenarioKind, ScenarioMix};

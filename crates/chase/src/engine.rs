@@ -1,13 +1,50 @@
-//! The chase engine: restricted and oblivious chase with termination control.
+//! The chase: the workspace's one bottom-up loop for TGDs with existential
+//! heads — restricted and oblivious variants, termination control, optional
+//! provenance.
 //!
-//! Each round separates **trigger detection** from **trigger application**:
-//! triggers for every TGD are collected against the round's frozen instance
-//! (in parallel across [`ChaseConfig::threads`] scoped workers, one task per
-//! TGD, via [`vadalog_model::parallel::run_tasks`]) and then applied
-//! sequentially in (TGD, trigger) order — null invention, the restricted
-//! chase's satisfaction check and provenance recording all happen in the
-//! sequential phase, so results and null ids are identical for every thread
-//! count.
+//! # One loop, resumable
+//!
+//! [`Saturation`] is the state of a chase in progress (instance, null
+//! generation depths, the oblivious chase's fired triggers, the chase graph,
+//! one [`ChaseStats`], the `completed` flag) and [`Saturation::saturate`] is
+//! the loop: it chases a set of [`ChaseRule`]s to fixpoint over that state.
+//! [`ChaseEngine::run`] is one `saturate` over all TGDs of the program; the
+//! `vadalog_engine` reasoner calls `saturate` once per stratum over its
+//! optimizer-ordered rules. Nulls, steps and the termination policy are
+//! accounted across calls, so a run split into strata is still one chase.
+//!
+//! # Round structure
+//!
+//! Each round separates **trigger detection** from **trigger application**.
+//! Detection runs against the round's frozen instance. A rule is *driven*
+//! from the rows of one body atom ([`Matcher::prematch`]) and the remaining
+//! atoms follow the static build/probe plan [`JoinSpec::plan`] computes for
+//! that driven position — the strategy of the Datalog crate's fixpoint:
+//!
+//! * in the **first round** of a `saturate` call body atom 0 drives, over its
+//!   whole relation (so the atom a caller places first is the driver — the
+//!   reasoner's PWL-aware ordering puts the recursive atom there);
+//! * in **later rounds** every body position drives, over only the rows its
+//!   relation gained since that position was last driven (rows are
+//!   append-only with stable ids, so "gained" is a row-id range above a
+//!   per-call watermark). A trigger is therefore detected in the first round
+//!   in which all its rows exist, and never again.
+//!
+//! The (rule, driven position) tasks of a round run on
+//! [`ChaseConfig::threads`] scoped workers via
+//! [`vadalog_model::parallel::run_tasks`]; tasks, plans and driven ranges
+//! depend only on the frozen instance.
+//!
+//! # Trigger order, and why duplicates are harmless
+//!
+//! Triggers apply sequentially in (rule, driven position, driven row, plan)
+//! order — null invention, the restricted chase's satisfaction check, the
+//! termination policy and provenance recording all happen in this phase, so
+//! results and null ids are identical for every thread count. A trigger
+//! whose rows are new at two body positions is detected twice in its round.
+//! For the restricted chase the second copy finds its head satisfied by the
+//! first; the oblivious chase keys its fired set on the matched body rows
+//! (the driven row included), which does not depend on which position drove.
 
 use crate::provenance::{ChaseGraph, DerivationRecord};
 use crate::termination::TerminationPolicy;
@@ -15,8 +52,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
 use vadalog_model::parallel;
 use vadalog_model::{
-    Atom, ConjunctiveQuery, Database, Instance, JoinSpec, Matcher, NullId, Program, RowId, Symbol,
-    Term, Variable,
+    Atom, ConjunctiveQuery, Database, Instance, JoinPlan, JoinSpec, Matcher, NullId, Program,
+    RowId, Symbol, Term, Tgd, Variable,
 };
 
 /// Which chase variant to run.
@@ -86,22 +123,33 @@ impl ChaseConfig {
     }
 }
 
-/// Counters describing a chase run; the peak-atom counter is the space proxy
-/// used by the E1 experiment.
+/// Counters describing a chase, summed over every [`Saturation::saturate`]
+/// call on it; the peak-atom counter is the space proxy used by the E1
+/// experiment and `join_probes` the metric of the join-ordering ablation
+/// (E6).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaseStats {
     /// Number of applied triggers (chase steps).
     pub steps: usize,
     /// Number of invented labelled nulls.
     pub nulls_created: usize,
+    /// Atoms added to the database.
+    pub derived_atoms: usize,
     /// Number of atoms in the final instance.
     pub final_atoms: usize,
     /// Peak number of atoms materialised at any point (equals `final_atoms`
     /// for the chase, but reported separately so that all engines expose the
     /// same space metric).
     pub peak_atoms: usize,
+    /// Detection rounds executed.
+    pub rounds: usize,
+    /// Candidate rows inspected by trigger detection: driven rows plus the
+    /// rows the join kernel examined for the remaining body atoms.
+    pub join_probes: usize,
     /// Number of candidate triggers examined.
     pub triggers_examined: usize,
+    /// Triggers suppressed by a null-depth bound.
+    pub suppressed_triggers: usize,
 }
 
 /// The result of a chase run.
@@ -112,220 +160,356 @@ pub struct ChaseResult {
     /// Run statistics.
     pub stats: ChaseStats,
     /// `true` iff the chase stopped because no applicable trigger remained
-    /// (as opposed to hitting the termination policy).
+    /// (as opposed to the termination policy stopping it or suppressing a
+    /// trigger).
     pub completed: bool,
     /// The chase graph (empty when provenance recording is disabled).
     pub graph: ChaseGraph,
 }
 
-/// The chase engine. Holds the program and configuration; each [`ChaseEngine::run`]
-/// call chases one database.
+/// A TGD compiled for the chase loop: body join spec for trigger detection,
+/// head join spec for the restricted satisfaction check, and the variable
+/// plumbing between them. Body atom 0 is the rule's first-round driver.
+#[derive(Debug, Clone)]
+pub struct ChaseRule {
+    /// The rule's index in its program (the provenance label and the
+    /// oblivious chase's trigger key).
+    tgd_index: usize,
+    tgd: Tgd,
+    body: JoinSpec,
+    head: JoinSpec,
+    existentials: Vec<Variable>,
+}
+
+impl ChaseRule {
+    /// Compiles `tgd`, the rule at `tgd_index` of its program.
+    pub fn new(tgd_index: usize, tgd: &Tgd) -> ChaseRule {
+        ChaseRule {
+            tgd_index,
+            body: JoinSpec::compile(&tgd.body),
+            head: JoinSpec::compile(&tgd.head),
+            existentials: tgd.existential_variables().into_iter().collect(),
+            tgd: tgd.clone(),
+        }
+    }
+
+    /// The image of `atom` under a trigger given as body-slot values,
+    /// extended with fresh nulls for existential variables.
+    fn instantiate(&self, atom: &Atom, values: &[Term], nulls: &[(Variable, Term)]) -> Atom {
+        self.body.image_with(atom, values, |v| {
+            nulls.iter().find(|&&(w, _)| w == v).map(|&(_, n)| n)
+        })
+    }
+
+    /// Rows of body atom `pos`'s relation in `instance` (0 when the relation
+    /// is absent or has another arity: the atom then matches nothing).
+    fn driver_rows(&self, instance: &Instance, pos: usize) -> RowId {
+        instance
+            .relation(self.body.atom_predicate(pos))
+            .filter(|rel| rel.arity() == self.body.atom_arity(pos))
+            .map_or(0, |rel| rel.row_count())
+    }
+}
+
+/// One collected trigger: the body homomorphism as a dense slot-value tuple
+/// plus, for the oblivious chase only, the matched body rows (its dedup key;
+/// row ids are stable in the append-only store, so the key clones no atom).
+struct Trigger {
+    values: Vec<Term>,
+    rows: Vec<RowId>,
+}
+
+/// One detection task of a round: drive `rule`'s body atom `pos` from the
+/// rows `lo..hi` of its relation.
+struct DrivenRange {
+    rule: usize,
+    pos: usize,
+    lo: RowId,
+    hi: RowId,
+}
+
+/// A chase in progress: everything that must survive from one
+/// [`Saturation::saturate`] call to the next.
+#[derive(Debug)]
+pub struct Saturation {
+    config: ChaseConfig,
+    instance: Instance,
+    stats: ChaseStats,
+    completed: bool,
+    graph: ChaseGraph,
+    /// Generation depth of every invented null (the next null id is
+    /// `stats.nulls_created`).
+    null_depth: HashMap<NullId, usize>,
+    /// Oblivious chase: fired triggers as (rule index, body row ids).
+    fired: HashSet<(usize, Vec<RowId>)>,
+}
+
+impl Saturation {
+    /// Starts a chase of `database`.
+    pub fn new(database: &Database, config: ChaseConfig) -> Saturation {
+        Saturation {
+            config,
+            instance: database.as_instance().clone(),
+            stats: ChaseStats::default(),
+            completed: true,
+            graph: ChaseGraph::new(),
+            null_depth: HashMap::new(),
+            fired: HashSet::new(),
+        }
+    }
+
+    /// Chases `rules` to fixpoint over the current instance, or until the
+    /// termination policy stops the chase (see the module docs for the round
+    /// structure). Watermarks are local to the call: its first round sees
+    /// the whole instance.
+    pub fn saturate(&mut self, rules: &[ChaseRule]) {
+        let mut head_matchers: Vec<Matcher<'_>> = rules
+            .iter()
+            .map(|rule| {
+                let mut m = Matcher::new(&rule.head);
+                m.set_limit(1);
+                m
+            })
+            .collect();
+        // Per (rule, body position): rows of the position's relation already
+        // driven through it. Position 0 starts at 0 and the others at their
+        // relation's current size, which makes the first round "atom 0 over
+        // everything" without a special case.
+        let mut driven: Vec<Vec<RowId>> = rules
+            .iter()
+            .map(|rule| {
+                (0..rule.body.num_atoms())
+                    .map(|pos| match pos {
+                        0 => 0,
+                        _ => rule.driver_rows(&self.instance, pos),
+                    })
+                    .collect()
+            })
+            .collect();
+        loop {
+            let mut tasks = Vec::new();
+            for (rule_index, rule) in rules.iter().enumerate() {
+                for (pos, lo) in driven[rule_index].iter_mut().enumerate() {
+                    let hi = rule.driver_rows(&self.instance, pos);
+                    if *lo < hi {
+                        tasks.push(DrivenRange {
+                            rule: rule_index,
+                            pos,
+                            lo: *lo,
+                            hi,
+                        });
+                        *lo = hi;
+                    }
+                }
+            }
+            if tasks.is_empty() {
+                return;
+            }
+            self.stats.rounds += 1;
+            let detected = self.detect(rules, &tasks);
+            self.stats.join_probes += detected.iter().map(|(_, probes)| probes).sum::<usize>();
+            for (task, (triggers, _)) in tasks.iter().zip(detected) {
+                let head_matcher = &mut head_matchers[task.rule];
+                for trigger in triggers {
+                    if self
+                        .apply(&rules[task.rule], head_matcher, trigger)
+                        .is_break()
+                    {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Trigger detection: every task's triggers and probe count against the
+    /// frozen instance, in task order.
+    fn detect(&self, rules: &[ChaseRule], tasks: &[DrivenRange]) -> Vec<(Vec<Trigger>, usize)> {
+        let instance = &self.instance;
+        let keep_rows = self.config.variant == ChaseVariant::Oblivious;
+        let plans: Vec<JoinPlan> = tasks
+            .iter()
+            .map(|task| rules[task.rule].body.plan(instance, &[task.pos]))
+            .collect();
+        parallel::run_tasks(self.config.threads, tasks.len(), |task_index| {
+            let task = &tasks[task_index];
+            let body = &rules[task.rule].body;
+            let rel = instance
+                .relation(body.atom_predicate(task.pos))
+                .expect("a driven range is non-empty, so its relation exists");
+            let mut triggers = Vec::new();
+            let mut probes = (task.hi - task.lo) as usize;
+            let mut matcher = Matcher::new(body);
+            matcher.set_plan(Some(&plans[task_index]));
+            for row_id in task.lo..task.hi {
+                matcher.clear();
+                if !matcher.prematch(task.pos, rel.row(row_id)) {
+                    continue;
+                }
+                let run = matcher.for_each(instance, |bindings| {
+                    let mut rows = Vec::new();
+                    if keep_rows {
+                        rows.extend_from_slice(bindings.matched_rows());
+                        rows[task.pos] = row_id;
+                    }
+                    triggers.push(Trigger {
+                        values: (0..body.num_slots())
+                            .map(|slot| {
+                                bindings
+                                    .packed_slot(slot)
+                                    .expect("every body variable is bound by a full match")
+                                    .unpack()
+                            })
+                            .collect(),
+                        rows,
+                    });
+                    ControlFlow::Continue(())
+                });
+                probes += run.probes as usize;
+            }
+            (triggers, probes)
+        })
+    }
+
+    /// Trigger application: fires `trigger` unless it already fired
+    /// (oblivious), its head is already satisfied (restricted) or the
+    /// termination policy forbids it. `Break` means the policy stopped the
+    /// whole chase. This is the only place the policy is consulted.
+    fn apply(
+        &mut self,
+        rule: &ChaseRule,
+        head_matcher: &mut Matcher<'_>,
+        trigger: Trigger,
+    ) -> ControlFlow<()> {
+        self.stats.triggers_examined += 1;
+        match self.config.variant {
+            ChaseVariant::Oblivious => {
+                if !self.fired.insert((rule.tgd_index, trigger.rows)) {
+                    return ControlFlow::Continue(());
+                }
+            }
+            ChaseVariant::Restricted => {
+                // Skip if some extension of the trigger already satisfies
+                // the head: prebind the frontier image and search for any
+                // match of the head pattern.
+                head_matcher.clear();
+                for (slot, &value) in trigger.values.iter().enumerate() {
+                    let bound = head_matcher.prebind(rule.body.var_of(slot), value);
+                    debug_assert!(bound, "fresh matcher cannot conflict");
+                }
+                let mut satisfied = false;
+                head_matcher.for_each(&self.instance, |_| {
+                    satisfied = true;
+                    ControlFlow::Break(())
+                });
+                if satisfied {
+                    return ControlFlow::Continue(());
+                }
+            }
+        }
+        let policy = self.config.policy;
+        if !policy.allows_step(self.stats.steps, self.stats.nulls_created) {
+            self.completed = false;
+            return ControlFlow::Break(());
+        }
+        // Generation depth of the nulls this trigger would create: one more
+        // than the deepest null among the frontier images. TGDs are
+        // constant- and null-free, so the nulls of the premise images are
+        // exactly the nulls among the trigger's slot values.
+        let new_depth = 1 + trigger
+            .values
+            .iter()
+            .filter_map(Term::as_null)
+            .map(|n| self.null_depth.get(&n).copied().unwrap_or(0))
+            .max()
+            .unwrap_or(0);
+        if !rule.existentials.is_empty() && !policy.allows_null_depth(new_depth) {
+            // Too deep: suppress this trigger (but keep chasing).
+            self.completed = false;
+            self.stats.suppressed_triggers += 1;
+            return ControlFlow::Continue(());
+        }
+
+        // Extend the trigger with fresh nulls for the existential variables
+        // and add the head images.
+        let nulls: Vec<(Variable, Term)> = rule
+            .existentials
+            .iter()
+            .map(|&z| {
+                let null = NullId(self.stats.nulls_created as u64);
+                self.stats.nulls_created += 1;
+                self.null_depth.insert(null, new_depth);
+                (z, Term::Null(null))
+            })
+            .collect();
+        let mut conclusions = Vec::new();
+        for head_atom in &rule.tgd.head {
+            let atom = rule.instantiate(head_atom, &trigger.values, &nulls);
+            let recorded = self.config.record_provenance.then(|| atom.clone());
+            if self
+                .instance
+                .insert(atom)
+                .expect("head image is variable-free")
+            {
+                self.stats.derived_atoms += 1;
+                conclusions.extend(recorded);
+            }
+        }
+        self.stats.steps += 1;
+        if !conclusions.is_empty() {
+            self.graph.record(DerivationRecord {
+                tgd_index: rule.tgd_index,
+                premises: rule
+                    .tgd
+                    .body
+                    .iter()
+                    .map(|a| rule.instantiate(a, &trigger.values, &[]))
+                    .collect(),
+                conclusions,
+            });
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Ends the chase and hands out its result.
+    pub fn finish(mut self) -> ChaseResult {
+        self.stats.final_atoms = self.instance.len();
+        self.stats.peak_atoms = self.instance.len();
+        ChaseResult {
+            instance: self.instance,
+            stats: self.stats,
+            completed: self.completed,
+            graph: self.graph,
+        }
+    }
+}
+
+/// The chase engine. Holds the compiled program and configuration; each
+/// [`ChaseEngine::run`] call chases one database.
 #[derive(Debug, Clone)]
 pub struct ChaseEngine {
-    program: Program,
+    rules: Vec<ChaseRule>,
     config: ChaseConfig,
 }
 
 impl ChaseEngine {
     /// Creates an engine for the given program and configuration.
     pub fn new(program: Program, config: ChaseConfig) -> ChaseEngine {
-        ChaseEngine { program, config }
-    }
-
-    /// The program being chased.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// Runs the chase on a database.
-    pub fn run(&self, database: &Database) -> ChaseResult {
-        let mut instance = database.as_instance().clone();
-        let mut stats = ChaseStats::default();
-        let mut graph = ChaseGraph::new();
-        let mut null_counter: u64 = 0;
-        let mut null_depth: HashMap<NullId, usize> = HashMap::new();
-        // For the oblivious chase: fired triggers as (tgd index, body row-id
-        // tuple). Row ids are stable in the append-only columnar store, so
-        // the trigger key never clones an atom.
-        let mut fired: HashSet<(usize, Vec<RowId>)> = HashSet::new();
-        let mut completed = true;
-
-        // Compile every TGD once: body join spec for trigger detection, head
-        // join spec for the restricted satisfaction check, and the variable
-        // plumbing between them.
-        let compiled: Vec<CompiledTgd> = self
-            .program
-            .iter()
-            .map(|(_, tgd)| CompiledTgd::new(tgd))
-            .collect();
-        let mut head_matchers: Vec<Matcher<'_>> = compiled
-            .iter()
-            .map(|c| {
-                let mut m = Matcher::new(&c.head);
-                m.set_limit(1);
-                m
-            })
-            .collect();
-
-        loop {
-            if !self
-                .config
-                .policy
-                .allows_step(stats.steps, stats.nulls_created)
-            {
-                completed = false;
-                break;
-            }
-            let mut applied_this_round = false;
-
-            // Trigger detection: one task per TGD against the round's frozen
-            // instance, collected in parallel (read-only kernel runs) and
-            // applied below in deterministic (TGD, trigger) order. Each body
-            // runs a static build/probe plan computed once per round (so
-            // composite fused-key probes and fingerprint miss-skipping apply
-            // to the chase too); plans depend only on the frozen instance,
-            // keeping trigger order identical for every thread count.
-            let body_plans: Vec<vadalog_model::JoinPlan> = compiled
+        ChaseEngine {
+            rules: program
                 .iter()
-                .map(|ctgd| ctgd.body.plan(&instance, &[]))
-                .collect();
-            let round_triggers: Vec<Vec<Trigger>> =
-                parallel::run_tasks(self.config.threads, compiled.len(), |tgd_index| {
-                    let ctgd = &compiled[tgd_index];
-                    let mut triggers = Vec::new();
-                    let mut body_matcher = Matcher::new(&ctgd.body);
-                    body_matcher.set_plan(Some(&body_plans[tgd_index]));
-                    body_matcher.for_each(&instance, |bindings| {
-                        triggers.push(Trigger {
-                            values: (0..ctgd.body.num_slots())
-                                .map(|s| {
-                                    bindings
-                                        .get(ctgd.body.var_of(s))
-                                        .expect("every body variable is bound by a full match")
-                                })
-                                .collect(),
-                            rows: bindings.matched_rows().to_vec(),
-                        });
-                        ControlFlow::Continue(())
-                    });
-                    triggers
-                });
-
-            for (tgd_index, tgd) in self.program.iter() {
-                let ctgd = &compiled[tgd_index];
-                for trigger in &round_triggers[tgd_index] {
-                    stats.triggers_examined += 1;
-                    if !self
-                        .config
-                        .policy
-                        .allows_step(stats.steps, stats.nulls_created)
-                    {
-                        completed = false;
-                        break;
-                    }
-
-                    match self.config.variant {
-                        ChaseVariant::Oblivious => {
-                            let key = (tgd_index, trigger.rows.clone());
-                            if fired.contains(&key) {
-                                continue;
-                            }
-                            fired.insert(key);
-                        }
-                        ChaseVariant::Restricted => {
-                            // Skip if some extension of the trigger already
-                            // satisfies the head: prebind the frontier image
-                            // and search for any match of the head pattern.
-                            let head_matcher = &mut head_matchers[tgd_index];
-                            head_matcher.clear();
-                            for (slot, &value) in trigger.values.iter().enumerate() {
-                                let bound = head_matcher.prebind(ctgd.body.var_of(slot), value);
-                                debug_assert!(bound, "fresh matcher cannot conflict");
-                            }
-                            let mut satisfied = false;
-                            head_matcher.for_each(&instance, |_| {
-                                satisfied = true;
-                                ControlFlow::Break(())
-                            });
-                            if satisfied {
-                                continue;
-                            }
-                        }
-                    }
-
-                    // Generation depth of the nulls this trigger would create:
-                    // one more than the deepest null among the frontier images.
-                    // TGDs are constant- and null-free, so the nulls of the
-                    // premise images are exactly the nulls among the trigger's
-                    // slot values.
-                    let premise_depth = trigger
-                        .values
-                        .iter()
-                        .filter_map(Term::as_null)
-                        .map(|n| null_depth.get(&n).copied().unwrap_or(0))
-                        .max()
-                        .unwrap_or(0);
-                    let new_depth = premise_depth + 1;
-                    if !ctgd.existentials.is_empty()
-                        && !self.config.policy.allows_null_depth(new_depth)
-                    {
-                        // Too deep: suppress this trigger (but keep chasing).
-                        completed = false;
-                        continue;
-                    }
-
-                    // Extend the trigger with fresh nulls for the existential
-                    // variables and add the head images.
-                    let nulls: Vec<(Variable, Term)> = ctgd
-                        .existentials
-                        .iter()
-                        .map(|&z| {
-                            let null = NullId(null_counter);
-                            null_counter += 1;
-                            stats.nulls_created += 1;
-                            null_depth.insert(null, new_depth);
-                            (z, Term::Null(null))
-                        })
-                        .collect();
-                    let mut conclusions = Vec::new();
-                    for head_atom in &tgd.head {
-                        let atom = ctgd.instantiate(head_atom, &trigger.values, &nulls);
-                        if instance
-                            .insert(atom.clone())
-                            .expect("head image is variable-free")
-                        {
-                            conclusions.push(atom);
-                        }
-                    }
-                    stats.steps += 1;
-                    applied_this_round = true;
-                    if self.config.record_provenance && !conclusions.is_empty() {
-                        graph.record(DerivationRecord {
-                            tgd_index,
-                            premises: tgd
-                                .body
-                                .iter()
-                                .map(|a| ctgd.instantiate(a, &trigger.values, &[]))
-                                .collect(),
-                            conclusions,
-                        });
-                    }
-                }
-            }
-
-            if !applied_this_round {
-                break;
-            }
+                .map(|(index, tgd)| ChaseRule::new(index, tgd))
+                .collect(),
+            config,
         }
+    }
 
-        stats.final_atoms = instance.len();
-        stats.peak_atoms = instance.len();
-        ChaseResult {
-            instance,
-            stats,
-            completed,
-            graph,
-        }
+    /// Runs the chase on a database: one [`Saturation::saturate`] over all
+    /// TGDs of the program.
+    pub fn run(&self, database: &Database) -> ChaseResult {
+        let mut chase = Saturation::new(database, self.config);
+        chase.saturate(&self.rules);
+        chase.finish()
     }
 
     /// Chases the database and evaluates the query over the result, returning
@@ -340,40 +524,6 @@ impl ChaseEngine {
     ) -> BTreeSet<Vec<Symbol>> {
         query.evaluate_with_threads(&self.run(database).instance, self.config.threads)
     }
-}
-
-/// A TGD with its join machinery compiled once per chase run.
-struct CompiledTgd {
-    /// The body pattern, driving trigger detection.
-    body: JoinSpec,
-    /// The head pattern, driving the restricted-chase satisfaction check.
-    head: JoinSpec,
-    existentials: Vec<Variable>,
-}
-
-impl CompiledTgd {
-    fn new(tgd: &vadalog_model::Tgd) -> CompiledTgd {
-        CompiledTgd {
-            body: JoinSpec::compile(&tgd.body),
-            head: JoinSpec::compile(&tgd.head),
-            existentials: tgd.existential_variables().into_iter().collect(),
-        }
-    }
-
-    /// The image of `atom` under a trigger given as body-slot values,
-    /// extended with fresh nulls for existential variables.
-    fn instantiate(&self, atom: &Atom, values: &[Term], nulls: &[(Variable, Term)]) -> Atom {
-        self.body.image_with(atom, values, |v| {
-            nulls.iter().find(|&&(w, _)| w == v).map(|&(_, n)| n)
-        })
-    }
-}
-
-/// One collected trigger: the body homomorphism as a dense slot-value tuple
-/// plus the matched body rows (the oblivious chase's dedup key).
-struct Trigger {
-    values: Vec<Term>,
-    rows: Vec<RowId>,
 }
 
 impl ChaseResult {

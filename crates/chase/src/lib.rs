@@ -23,7 +23,8 @@ pub mod provenance;
 pub mod termination;
 
 pub use engine::{
-    certain_answers, ChaseConfig, ChaseEngine, ChaseResult, ChaseStats, ChaseVariant,
+    certain_answers, ChaseConfig, ChaseEngine, ChaseResult, ChaseRule, ChaseStats, ChaseVariant,
+    Saturation,
 };
 pub use provenance::{ChaseGraph, DerivationRecord};
 pub use termination::TerminationPolicy;

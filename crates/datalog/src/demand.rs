@@ -32,7 +32,9 @@
 //! answers are identical either way, which the cross-engine property suite
 //! pins.
 
-use crate::engine::{stratum_fixpoint, DatalogStats, RoundProfile};
+use crate::engine::{
+    compile_strata, stratum_fixpoint, CompiledStratum, DatalogStats, RoundProfile,
+};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,8 +43,8 @@ use vadalog_analysis::magic::{demand_signature, magic_rewrite, MagicFallback, Ma
 use vadalog_analysis::stratify::stratify;
 use vadalog_analysis::BindingPattern;
 use vadalog_model::{
-    BudgetExceeded, ConjunctiveQuery, Instance, JoinSpec, MergeScratch, Predicate, Program,
-    QueryBudget, RowTemplate, Symbol, Tgd,
+    BudgetExceeded, ConjunctiveQuery, Instance, MergeScratch, Predicate, Program, QueryBudget,
+    Symbol,
 };
 
 /// Why a demand-driven evaluation did not produce an answer.
@@ -119,18 +121,6 @@ pub struct DemandStats {
     pub demanded_tuples: u64,
 }
 
-/// One stratum of a specialised program, compiled once per binding
-/// pattern: rule indexes into the rewritten program, their join specs and
-/// packed head templates, and the stratum's predicates — everything
-/// [`stratum_fixpoint`] needs, ready to replay per query.
-struct CompiledDemandStratum {
-    rules: Vec<usize>,
-    specs: Vec<JoinSpec>,
-    templates: Vec<RowTemplate>,
-    predicates: Vec<Predicate>,
-    recursive: bool,
-}
-
 /// A magic-sets rewrite plus everything derived from it that does not
 /// depend on the query's constants: stratification, compiled join specs,
 /// head templates, and the base (extensional) predicates the rewritten
@@ -138,37 +128,14 @@ struct CompiledDemandStratum {
 /// binding-pattern signature.
 pub struct SpecialisedProgram {
     rewrite: MagicRewrite,
-    strata: Vec<CompiledDemandStratum>,
+    strata: Vec<CompiledStratum>,
     base_predicates: Vec<Predicate>,
     generated: BTreeSet<Predicate>,
 }
 
 impl SpecialisedProgram {
     fn compile(rewrite: MagicRewrite) -> SpecialisedProgram {
-        let stratification = stratify(&rewrite.program);
-        let strata = stratification
-            .strata
-            .iter()
-            .map(|stratum| {
-                let rules = stratum.rules.clone();
-                let specs: Vec<JoinSpec> = rules
-                    .iter()
-                    .map(|&i| JoinSpec::compile(&rewrite.program.tgds()[i].body))
-                    .collect();
-                let templates: Vec<RowTemplate> = rules
-                    .iter()
-                    .zip(specs.iter())
-                    .map(|(&i, spec)| spec.row_template(&rewrite.program.tgds()[i].head[0]))
-                    .collect();
-                CompiledDemandStratum {
-                    rules,
-                    specs,
-                    templates,
-                    predicates: stratum.predicates.iter().copied().collect(),
-                    recursive: stratum.recursive,
-                }
-            })
-            .collect();
+        let strata = compile_strata(&rewrite.program, &stratify(&rewrite.program));
         let generated = rewrite.generated_predicates();
         // The scratch instance copies exactly what the rewritten program
         // and query read from the base: schema minus generated predicates
@@ -368,14 +335,9 @@ impl DemandEngine {
         let mut stats = DatalogStats::default();
         let mut merge = MergeScratch::new();
         for stratum in &specialised.strata {
-            let rules: Vec<&Tgd> = stratum
-                .rules
-                .iter()
-                .map(|&i| &specialised.rewrite.program.tgds()[i])
-                .collect();
             let mut rounds = profile.is_some().then(Vec::new);
             stratum_fixpoint(
-                &rules,
+                &stratum.rules(&specialised.rewrite.program),
                 &stratum.specs,
                 &stratum.templates,
                 &stratum.predicates,

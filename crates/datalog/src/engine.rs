@@ -1,7 +1,7 @@
 //! Semi-naive bottom-up evaluation, driven by the packed build/probe join
 //! kernel.
 //!
-//! Each rule body is compiled once per stratum into a
+//! Each rule body is compiled once per engine into a
 //! [`vadalog_model::JoinSpec`] and, per round, into a static build/probe
 //! [`vadalog_model::JoinPlan`] (shared by every worker of the round); heads
 //! compile into packed [`vadalog_model::RowTemplate`]s. The per-delta-fact
@@ -100,7 +100,7 @@ pub struct DatalogStats {
 }
 
 /// Observational breakdown of one fixpoint round, collected by
-/// [`stratum_fixpoint`] when the caller supplies a profile sink (the
+/// `stratum_fixpoint` when the caller supplies a profile sink (the
 /// service's `PROFILE` verb does; plain evaluation passes `None` and pays
 /// nothing). Round 0 of a stratum is the naive round — its "delta" is the
 /// full driver row set; each later round's delta is the previous round's
@@ -141,6 +141,74 @@ impl DatalogResult {
     pub fn holds(&self, query: &ConjunctiveQuery) -> bool {
         query.holds_in(&self.instance)
     }
+}
+
+/// One stratum compiled for the round core: the block every engine of this
+/// crate builds once per program and replays per evaluation.
+#[derive(Debug, Clone)]
+pub(crate) struct CompiledStratum {
+    /// Indexes (into the program) of the stratum's rules.
+    rule_indices: Vec<usize>,
+    /// One compiled body per rule.
+    pub(crate) specs: Vec<JoinSpec>,
+    /// One packed head template per rule.
+    pub(crate) templates: Vec<RowTemplate>,
+    /// The stratum's own (head) predicates, in deterministic order.
+    pub(crate) predicates: Vec<Predicate>,
+    /// Distinct predicates occurring in the stratum's rule bodies, in
+    /// first-occurrence order — the incremental engine's candidates for
+    /// seed-round deltas.
+    pub(crate) body_predicates: Vec<Predicate>,
+    /// `true` iff the stratum is recursive (its predicates lie on a cycle).
+    pub(crate) recursive: bool,
+}
+
+impl CompiledStratum {
+    /// The stratum's rules, borrowed from the program it was compiled from.
+    pub(crate) fn rules<'p>(&self, program: &'p Program) -> Vec<&'p Tgd> {
+        self.rule_indices
+            .iter()
+            .map(|&i| &program.tgds()[i])
+            .collect()
+    }
+}
+
+/// Compiles every stratum of a (plain Datalog) program: rule bodies into
+/// [`JoinSpec`]s, heads into packed [`RowTemplate`]s over them.
+pub(crate) fn compile_strata(
+    program: &Program,
+    stratification: &Stratification,
+) -> Vec<CompiledStratum> {
+    stratification
+        .strata
+        .iter()
+        .map(|stratum| {
+            let rules: Vec<&Tgd> = stratum.rules.iter().map(|&i| &program.tgds()[i]).collect();
+            let specs: Vec<JoinSpec> = rules
+                .iter()
+                .map(|rule| JoinSpec::compile(&rule.body))
+                .collect();
+            let templates = rules
+                .iter()
+                .zip(&specs)
+                .map(|(rule, spec)| spec.row_template(&rule.head[0]))
+                .collect();
+            let mut body_predicates = Vec::new();
+            for atom in rules.iter().flat_map(|rule| &rule.body) {
+                if !body_predicates.contains(&atom.predicate) {
+                    body_predicates.push(atom.predicate);
+                }
+            }
+            CompiledStratum {
+                rule_indices: stratum.rules.clone(),
+                specs,
+                templates,
+                predicates: stratum.predicates.iter().copied().collect(),
+                body_predicates,
+                recursive: stratum.recursive,
+            }
+        })
+        .collect()
 }
 
 /// One task's output: the derivations for the task's head predicate plus the
@@ -323,10 +391,8 @@ pub(crate) fn seeded_round(
 /// round (driver-atom row ranges) followed, for recursive strata, by
 /// watermark-delta semi-naive rounds until no stratum predicate grows. The
 /// rules, compiled [`JoinSpec`]s and packed head [`RowTemplate`]s arrive
-/// precompiled — [`DatalogEngine::evaluate`] compiles them per stratum per
-/// run, while the demand engine's per-binding-pattern specialised-program
-/// cache compiles them once and replays them for every query of the
-/// pattern.
+/// precompiled (see [`compile_strata`]): once per engine, and in the demand
+/// engine once per cached binding pattern.
 ///
 /// `deadline` is polled cooperatively at the top of every round (`None`
 /// never cancels): a passed deadline stops the fixpoint with
@@ -561,6 +627,7 @@ pub(crate) fn stratum_fixpoint(
 pub struct DatalogEngine {
     program: Program,
     stratification: Stratification,
+    strata: Vec<CompiledStratum>,
     threads: usize,
 }
 
@@ -575,6 +642,7 @@ impl DatalogEngine {
         }
         let stratification = stratify(&program);
         Ok(DatalogEngine {
+            strata: compile_strata(&program, &stratification),
             program,
             stratification,
             threads: 1,
@@ -610,30 +678,14 @@ impl DatalogEngine {
         let mut stats = DatalogStats::default();
         let mut scratch = MergeScratch::new();
 
-        for stratum in &self.stratification.strata {
-            let rules: Vec<&_> = stratum
-                .rules
-                .iter()
-                .map(|&i| &self.program.tgds()[i])
-                .collect();
-            // Compile every rule body once per stratum (head row templates
-            // too); workers build their own (cheap) `Matcher` per task, so
-            // nothing below clones a rule body or allocates per candidate.
-            let specs: Vec<JoinSpec> = rules
-                .iter()
-                .map(|rule| JoinSpec::compile(&rule.body))
-                .collect();
-            let templates: Vec<RowTemplate> = rules
-                .iter()
-                .zip(specs.iter())
-                .map(|(rule, spec)| spec.row_template(&rule.head[0]))
-                .collect();
-            let preds: Vec<Predicate> = stratum.predicates.iter().copied().collect();
+        for stratum in &self.strata {
+            // Workers build their own (cheap) `Matcher` per task, so nothing
+            // below clones a rule body or allocates per candidate.
             stratum_fixpoint(
-                &rules,
-                &specs,
-                &templates,
-                &preds,
+                &stratum.rules(&self.program),
+                &stratum.specs,
+                &stratum.templates,
+                &stratum.predicates,
                 stratum.recursive,
                 &mut instance,
                 self.threads,

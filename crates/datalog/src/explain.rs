@@ -3,7 +3,7 @@
 //!
 //! Both surfaces print the *same* lines for the same (program, instance,
 //! query) triple: the query's adornment signature, the magic-vs-full
-//! decision (with the [`MagicFallback`] reason when the demand path is
+//! decision (with the [`vadalog_analysis::magic::MagicFallback`] reason when the demand path is
 //! refused), the magic-sets rewrite report when it applies, and the static
 //! build/probe join plan of the query atoms against the instance — join
 //! order, index kinds and the planner's estimated fan-outs, straight from

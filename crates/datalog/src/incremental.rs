@@ -41,34 +41,16 @@
 //!   Only the first snapshot of an epoch clones the instance; queries then
 //!   run with no lock held, concurrently with the next ingest.
 
-use crate::engine::{flush_round, seeded_round, DatalogStats, DeltaRange};
+use crate::engine::{
+    compile_strata, flush_round, seeded_round, CompiledStratum, DatalogStats, DeltaRange,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use vadalog_analysis::predicate_graph::PredicateGraph;
 use vadalog_analysis::stratify::{stratify, Stratification};
 use vadalog_model::{
-    Atom, ConjunctiveQuery, Database, Instance, InstanceSnapshot, JoinSpec, MergeScratch,
-    ModelError, PackedTerm, Predicate, Program, RowId, RowTemplate, SnapshotCell, Symbol, Tgd,
+    Atom, ConjunctiveQuery, Database, Instance, InstanceSnapshot, MergeScratch, ModelError,
+    PackedTerm, Predicate, Program, RowId, SnapshotCell, Symbol,
 };
-
-/// The per-stratum compilation the engine reuses across every ingest: join
-/// specs and packed head row templates are built once, at construction.
-#[derive(Debug, Clone)]
-struct CompiledStratum {
-    /// Indexes (into the program) of the stratum's rules.
-    rule_indices: Vec<usize>,
-    /// One compiled body per rule.
-    specs: Vec<JoinSpec>,
-    /// One packed head template per rule.
-    templates: Vec<RowTemplate>,
-    /// The stratum's own (head) predicates, in deterministic order.
-    predicates: Vec<Predicate>,
-    /// Distinct predicates occurring in the stratum's rule bodies, in
-    /// first-occurrence order — the candidates for seed-round deltas.
-    body_predicates: Vec<Predicate>,
-    /// `true` iff the stratum is recursive (needs semi-naive recursion
-    /// beyond the seed round).
-    recursive: bool,
-}
 
 /// The report of one [`IncrementalEngine::ingest`] call.
 #[derive(Debug, Clone, Copy, Default)]
@@ -145,38 +127,7 @@ impl IncrementalEngine {
         }
         let stratification = stratify(&program);
         let graph = PredicateGraph::new(&program);
-        let strata = stratification
-            .strata
-            .iter()
-            .map(|stratum| {
-                let rules: Vec<&Tgd> = stratum.rules.iter().map(|&i| &program.tgds()[i]).collect();
-                let specs: Vec<JoinSpec> = rules
-                    .iter()
-                    .map(|rule| JoinSpec::compile(&rule.body))
-                    .collect();
-                let templates: Vec<RowTemplate> = rules
-                    .iter()
-                    .zip(specs.iter())
-                    .map(|(rule, spec)| spec.row_template(&rule.head[0]))
-                    .collect();
-                let mut body_predicates = Vec::new();
-                for rule in &rules {
-                    for atom in &rule.body {
-                        if !body_predicates.contains(&atom.predicate) {
-                            body_predicates.push(atom.predicate);
-                        }
-                    }
-                }
-                CompiledStratum {
-                    rule_indices: stratum.rules.clone(),
-                    specs,
-                    templates,
-                    predicates: stratum.predicates.iter().copied().collect(),
-                    body_predicates,
-                    recursive: stratum.recursive,
-                }
-            })
-            .collect();
+        let strata = compile_strata(&program, &stratification);
         Ok(IncrementalEngine {
             program,
             stratification,
@@ -444,11 +395,7 @@ fn evaluate_stratum(
     if deltas.is_empty() {
         return false;
     }
-    let rules: Vec<&Tgd> = stratum
-        .rule_indices
-        .iter()
-        .map(|&i| &program.tgds()[i])
-        .collect();
+    let rules = stratum.rules(program);
     let watermark = |instance: &Instance| -> Vec<RowId> {
         stratum
             .predicates

@@ -1,40 +1,26 @@
-//! The bottom-up executor: stratified evaluation with null invention,
-//! ordered joins and termination control.
+//! The reasoner: a stratification-and-ordering driver over the chase.
 //!
-//! Each fixpoint round separates trigger **detection** (all rule bodies
-//! joined against the round's frozen instance — in parallel across
-//! [`EngineConfig::threads`] workers, one task per rule) from trigger
-//! **application** (satisfaction checks, null invention and inserts, applied
-//! sequentially in (rule, trigger) order), so results are identical for
-//! every thread count.
+//! [`Reasoner::new`] runs the optimizer once (body ordering, stratification)
+//! and compiles the ordered rules into the passes of a run: one pass per
+//! stratum when [`EngineConfig::materialize_strata`] is set, one pass over
+//! all rules otherwise. [`Reasoner::run`] starts a restricted
+//! [`vadalog_chase::Saturation`] under [`EngineConfig::termination`] and
+//! saturates each pass in turn — the fixpoint rounds, trigger detection on
+//! [`EngineConfig::threads`] workers, satisfaction checks, null invention
+//! and every termination check are the chase crate's. A pass's first round
+//! drives each rule from body atom 0 as the optimizer ordered it; that is
+//! the whole effect of [`crate::JoinOrdering`] on evaluation.
 
-use crate::optimizer::{optimize, EngineConfig, OptimizedProgram, OptimizedRule};
-use std::collections::{BTreeSet, HashMap};
-use std::ops::ControlFlow;
-use vadalog_model::parallel;
-use vadalog_model::{
-    ConjunctiveQuery, Database, Instance, JoinSpec, Matcher, NullId, Program, Symbol, Term,
-    Variable,
-};
+use crate::optimizer::{optimize, EngineConfig};
+use std::collections::BTreeSet;
+use vadalog_analysis::stratify::Stratum;
+use vadalog_chase::{ChaseConfig, ChaseRule, ChaseVariant, Saturation};
+use vadalog_model::{ConjunctiveQuery, Database, Instance, Program, Symbol};
 
-/// Counters describing an evaluation run. `join_probes` counts every
-/// candidate fact inspected by the nested-loop joins, which is the metric the
-/// join-ordering ablation (E6) reports.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReasonerStats {
-    /// Derived atoms (beyond the database).
-    pub derived_atoms: usize,
-    /// Peak number of materialised atoms.
-    pub peak_atoms: usize,
-    /// Labelled nulls invented.
-    pub nulls_created: usize,
-    /// Fixpoint rounds executed (summed over strata).
-    pub rounds: usize,
-    /// Candidate facts inspected by the join loops.
-    pub join_probes: usize,
-    /// Triggers suppressed by the termination policy.
-    pub suppressed_triggers: usize,
-}
+/// Counters describing an evaluation run: the chase's own, summed over the
+/// passes. `join_probes` is the metric the join-ordering ablation (E6)
+/// reports.
+pub use vadalog_chase::ChaseStats as ReasonerStats;
 
 /// The result of running the reasoner.
 #[derive(Debug, Clone)]
@@ -43,6 +29,10 @@ pub struct ReasonerResult {
     pub instance: Instance,
     /// Run statistics.
     pub stats: ReasonerStats,
+    /// `true` iff a fixpoint was reached; `false` when the termination
+    /// policy stopped the run or suppressed a trigger, in which case
+    /// answers over `instance` are sound but possibly incomplete.
+    pub completed: bool,
 }
 
 impl ReasonerResult {
@@ -61,59 +51,52 @@ impl ReasonerResult {
 #[derive(Debug, Clone)]
 pub struct Reasoner {
     config: EngineConfig,
-    optimized: OptimizedProgram,
+    /// The rule sets saturated in turn by a run.
+    passes: Vec<Vec<ChaseRule>>,
 }
 
 impl Reasoner {
     /// Builds a reasoner, running the optimizer once.
     pub fn new(program: &Program, config: EngineConfig) -> Reasoner {
-        Reasoner {
-            optimized: optimize(program, &config),
-            config,
-        }
-    }
-
-    /// The optimised program (exposed for inspection in tests and benches).
-    pub fn optimized(&self) -> &OptimizedProgram {
-        &self.optimized
+        let optimized = optimize(program, &config);
+        // The optimizer-ordered rules of one stratum (`None`: of all strata).
+        let pass = |stratum: Option<&Stratum>| -> Vec<ChaseRule> {
+            optimized
+                .rules
+                .iter()
+                .filter(|r| stratum.is_none_or(|s| s.rules.contains(&r.original_index)))
+                .map(|r| ChaseRule::new(r.original_index, &r.rule))
+                .collect()
+        };
+        let passes = if config.materialize_strata {
+            let strata = &optimized.stratification.strata;
+            strata.iter().map(|s| pass(Some(s))).collect()
+        } else {
+            vec![pass(None)]
+        };
+        Reasoner { config, passes }
     }
 
     /// Materialises the program over the database.
     pub fn run(&self, database: &Database) -> ReasonerResult {
-        let mut instance = database.as_instance().clone();
-        let mut stats = ReasonerStats::default();
-        let mut null_counter = 0u64;
-        let mut null_depth: HashMap<NullId, usize> = HashMap::new();
-
-        if self.config.materialize_strata {
-            for stratum in self.optimized.stratification.strata.clone() {
-                let rules: Vec<&OptimizedRule> = self
-                    .optimized
-                    .rules
-                    .iter()
-                    .filter(|r| stratum.rules.contains(&r.original_index))
-                    .collect();
-                self.fixpoint(
-                    &rules,
-                    &mut instance,
-                    &mut stats,
-                    &mut null_counter,
-                    &mut null_depth,
-                );
-            }
-        } else {
-            let rules: Vec<&OptimizedRule> = self.optimized.rules.iter().collect();
-            self.fixpoint(
-                &rules,
-                &mut instance,
-                &mut stats,
-                &mut null_counter,
-                &mut null_depth,
-            );
+        let mut chase = Saturation::new(
+            database,
+            ChaseConfig {
+                variant: ChaseVariant::Restricted,
+                policy: self.config.termination,
+                record_provenance: false,
+                threads: self.config.threads,
+            },
+        );
+        for pass in &self.passes {
+            chase.saturate(pass);
         }
-
-        stats.peak_atoms = instance.len();
-        ReasonerResult { instance, stats }
+        let result = chase.finish();
+        ReasonerResult {
+            instance: result.instance,
+            stats: result.stats,
+            completed: result.completed,
+        }
     }
 
     /// Materialises and evaluates a query in one call; the query runs
@@ -122,140 +105,13 @@ impl Reasoner {
     pub fn answers(&self, database: &Database, query: &ConjunctiveQuery) -> BTreeSet<Vec<Symbol>> {
         query.evaluate_with_threads(&self.run(database).instance, self.config.threads)
     }
-
-    fn fixpoint(
-        &self,
-        rules: &[&OptimizedRule],
-        instance: &mut Instance,
-        stats: &mut ReasonerStats,
-        null_counter: &mut u64,
-        null_depth: &mut HashMap<NullId, usize>,
-    ) {
-        // Compile each rule once per fixpoint: the body join runs in
-        // **fixed order** (the optimizer's join ordering is the point of the
-        // E6 ablation), the head spec drives the satisfaction check.
-        let compiled: Vec<(JoinSpec, JoinSpec, Vec<Variable>)> = rules
-            .iter()
-            .map(|r| {
-                (
-                    JoinSpec::compile(&r.rule.body),
-                    JoinSpec::compile(&r.rule.head),
-                    r.rule.existential_variables().into_iter().collect(),
-                )
-            })
-            .collect();
-        let mut head_matchers: Vec<Matcher<'_>> = compiled
-            .iter()
-            .map(|(_, head_spec, _)| {
-                let mut m = Matcher::new(head_spec);
-                m.set_limit(1);
-                m
-            })
-            .collect();
-
-        loop {
-            stats.rounds += 1;
-            let mut changed = false;
-            // Trigger detection: one task per rule against the round's
-            // frozen instance, run read-only in parallel; triggers apply
-            // below in deterministic (rule, trigger) order.
-            let round_triggers: Vec<(Vec<Vec<Term>>, u64)> =
-                parallel::run_tasks(self.config.threads, rules.len(), |rule_index| {
-                    let body_spec = &compiled[rule_index].0;
-                    let mut triggers = Vec::new();
-                    let mut matcher = Matcher::new(body_spec);
-                    matcher.set_fixed_order(true);
-                    let run = matcher.for_each(instance, |bindings| {
-                        triggers.push(
-                            (0..body_spec.num_slots())
-                                .map(|s| {
-                                    bindings
-                                        .get(body_spec.var_of(s))
-                                        .expect("every body variable is bound by a full match")
-                                })
-                                .collect(),
-                        );
-                        ControlFlow::Continue(())
-                    });
-                    (triggers, run.probes)
-                });
-            for (rule_index, (optimized_rule, (body_spec, _, existentials))) in
-                rules.iter().zip(compiled.iter()).enumerate()
-            {
-                let rule = &optimized_rule.rule;
-                let (triggers, probes) = &round_triggers[rule_index];
-                stats.join_probes += *probes as usize;
-                for values in triggers {
-                    // Restricted-chase style satisfaction check: skip the
-                    // trigger if an extension already satisfies the head.
-                    let head_matcher = &mut head_matchers[rule_index];
-                    head_matcher.clear();
-                    for (slot, &value) in values.iter().enumerate() {
-                        head_matcher.prebind(body_spec.var_of(slot), value);
-                    }
-                    let mut satisfied = false;
-                    head_matcher.for_each(instance, |_| {
-                        satisfied = true;
-                        ControlFlow::Break(())
-                    });
-                    if satisfied {
-                        continue;
-                    }
-                    if existentials.is_empty() {
-                        for head_atom in &rule.head {
-                            let fact = body_spec.image(head_atom, values);
-                            if instance.insert(fact).expect("head image is variable-free") {
-                                stats.derived_atoms += 1;
-                                changed = true;
-                            }
-                        }
-                    } else {
-                        // Rules are constant- and null-free, so the premise
-                        // nulls are exactly the nulls among the trigger values.
-                        let premise_depth = values
-                            .iter()
-                            .filter_map(Term::as_null)
-                            .map(|n| null_depth.get(&n).copied().unwrap_or(0))
-                            .max()
-                            .unwrap_or(0);
-                        if !self.config.termination.allows_null_depth(premise_depth + 1) {
-                            stats.suppressed_triggers += 1;
-                            continue;
-                        }
-                        let nulls: Vec<(Variable, Term)> = existentials
-                            .iter()
-                            .map(|&z| {
-                                let null = NullId(*null_counter);
-                                *null_counter += 1;
-                                stats.nulls_created += 1;
-                                null_depth.insert(null, premise_depth + 1);
-                                (z, Term::Null(null))
-                            })
-                            .collect();
-                        for head_atom in &rule.head {
-                            let fact = body_spec.image_with(head_atom, values, |v| {
-                                nulls.iter().find(|&&(w, _)| w == v).map(|&(_, n)| n)
-                            });
-                            if instance.insert(fact).expect("head image is variable-free") {
-                                stats.derived_atoms += 1;
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::JoinOrdering;
-    use vadalog_chase::TerminationPolicy;
+    use vadalog_chase::{ChaseEngine, TerminationPolicy};
     use vadalog_model::parser::{parse, parse_query, parse_rules};
 
     fn db(facts: &str) -> Database {
@@ -343,6 +199,61 @@ mod tests {
         assert!(result.stats.nulls_created <= 4);
         assert!(result.stats.suppressed_triggers > 0);
         assert!(result.holds(&parse_query("? :- r(a, Y), r(Y, W).").unwrap()));
+    }
+
+    /// `reasoner.run(database)` on a watchdog: the step and null bounds
+    /// used to be ignored here, and the program below chases forever.
+    fn run_within_ten_seconds(reasoner: Reasoner, database: Database) -> ReasonerResult {
+        let (done, result) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            // The receiver is gone only if the watchdog already fired.
+            let _ = done.send(reasoner.run(&database));
+        });
+        result
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the termination policy must stop an infinite chase")
+    }
+
+    #[test]
+    fn step_and_null_bounds_stop_an_infinite_chase() {
+        let program = parse_rules("r(X, Z) :- p(X).\n p(Y) :- r(X, Y).").unwrap();
+        let bounded = |termination| {
+            let config = EngineConfig {
+                termination,
+                ..EngineConfig::default()
+            };
+            run_within_ten_seconds(Reasoner::new(&program, config), db("p(a)."))
+        };
+        let by_steps = bounded(TerminationPolicy::MaxSteps(10));
+        assert!(!by_steps.completed);
+        assert!(by_steps.stats.steps <= 10);
+        let by_nulls = bounded(TerminationPolicy::MaxNulls(3));
+        assert!(!by_nulls.completed);
+        assert!(by_nulls.stats.nulls_created <= 3);
+    }
+
+    #[test]
+    fn depth_truncation_is_visible_on_both_result_types() {
+        // ROADMAP item 1's table as it stands: at the default depth 6 the
+        // 6-hop query is answered and the 7-hop query silently is not — but
+        // both engines at least report `completed == false`.
+        let program = parse_rules("r(X, Z) :- p(X).\n p(Y) :- r(X, Y).").unwrap();
+        let database = db("p(a).");
+        let hops = |k: usize| {
+            let atoms: Vec<String> = (0..k).map(|i| format!("r(Y{i}, Y{})", i + 1)).collect();
+            parse_query(&format!("?(Y0) :- {}.", atoms.join(", "))).unwrap()
+        };
+        let policy = TerminationPolicy::MaxNullDepth(6);
+        let config = EngineConfig::default();
+        assert_eq!(config.termination, policy);
+        let reasoned = Reasoner::new(&program, config).run(&database);
+        let chased = ChaseEngine::new(program, ChaseConfig::restricted(policy)).run(&database);
+        assert!(!reasoned.completed);
+        assert!(!chased.completed);
+        assert_eq!(reasoned.answers(&hops(6)).len(), 1);
+        assert_eq!(chased.instance_answers(&hops(6)).len(), 1);
+        assert!(reasoned.answers(&hops(7)).is_empty());
+        assert!(chased.instance_answers(&hops(7)).is_empty());
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct EngineConfig {
     /// Materialise intermediate results at strata boundaries (`true`) or run
     /// a single global fixpoint over all rules (`false`).
     pub materialize_strata: bool,
-    /// Termination policy for existential rules.
+    /// Termination policy of the underlying chase, honoured in full.
     pub termination: TerminationPolicy,
     /// Worker threads for per-round trigger detection in the fixpoint
     /// (1 = sequential, 0 = all available parallelism). Trigger application

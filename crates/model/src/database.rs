@@ -77,7 +77,7 @@
 //!   session the row count is frozen, long-lived read guards are only
 //!   acquired on indexes observed *fresh* under that same guard, and index
 //!   builders never block-wait for a write lock (they `try_write` and
-//!   re-check, see [`Relation::ensure_key_index`]) — therefore no writer can
+//!   re-check, see `Relation::ensure_key_index`) — therefore no writer can
 //!   queue behind a held read guard, and re-entrant reads (the join kernel
 //!   probes an index while enumerating another probe of the same index
 //!   higher up the search tree) cannot deadlock. The composite-index list
@@ -1112,7 +1112,7 @@ impl Relation {
     /// `key` (no allocation; the column's key index is built or extended on
     /// first use). The index's read lock is held for the duration of `f`,
     /// which may recursively probe this or other indexes (see
-    /// [`Relation::ensure_key_index`] for why that cannot deadlock).
+    /// `Relation::ensure_key_index` for why that cannot deadlock).
     #[inline]
     pub fn with_matching_rows<R>(
         &self,

@@ -32,10 +32,7 @@
 //! picks the *most selective* remaining atom, where an atom's cost is the
 //! smallest candidate-list length over all of its already-resolved argument
 //! positions (not merely the first bound position — a first-bound-position
-//! probe can be arbitrarily worse than the best one). A fixed-order mode
-//! ([`Matcher::set_fixed_order`]) preserves a caller-chosen join order for
-//! join-ordering experiments; it still probes the most selective position of
-//! each atom.
+//! probe can be arbitrarily worse than the best one).
 //!
 //! The adaptive search re-estimates every remaining atom at every node —
 //! several index probes (each a column `RwLock` acquisition) per candidate
@@ -71,11 +68,11 @@
 //! The classic [`homomorphisms`] / [`find_homomorphism`] /
 //! [`exists_homomorphism`] entry points are thin compatibility wrappers that
 //! compile a spec per call and materialise `Substitution`s from the streamed
-//! bindings. Engines (Datalog, chase, executor, proof search) drive the
+//! bindings. Engines (Datalog, chase, proof search) drive the
 //! kernel directly.
 //!
 //! A faithful port of the seed's allocation-heavy algorithm is retained in
-//! [`reference`] as a correctness oracle for property tests and as the
+//! [`mod@reference`] as a correctness oracle for property tests and as the
 //! baseline the join benchmarks compare against.
 
 use crate::atom::Atom;
@@ -157,7 +154,7 @@ struct CompiledAtom {
 }
 
 /// A pattern (conjunction of atoms) compiled for the join kernel: variables
-/// are numbered into dense slots, every argument becomes an [`ArgSpec`].
+/// are numbered into dense slots, every argument becomes an `ArgSpec`.
 /// Compile once, run many times via [`Matcher`].
 #[derive(Clone, Debug)]
 pub struct JoinSpec {
@@ -239,13 +236,9 @@ impl JoinSpec {
     }
 
     /// The image of `atom` where each pattern variable resolves to
-    /// `values[slot]` (a dense trigger tuple as collected from a match).
-    pub fn image(&self, atom: &Atom, values: &[Term]) -> Atom {
-        self.image_with(atom, values, |_| None)
-    }
-
-    /// Like [`JoinSpec::image`], but variables outside the pattern (e.g. a
-    /// TGD head's existential variables) fall back to `extra`.
+    /// `values[slot]` (a dense trigger tuple as collected from a match);
+    /// variables outside the pattern (e.g. a TGD head's existential
+    /// variables) fall back to `extra`.
     pub fn image_with(
         &self,
         atom: &Atom,
@@ -683,22 +676,6 @@ impl Bindings<'_> {
         }
     }
 
-    /// The image of an atom where unbound variables fall back to `extra`
-    /// (used by the chase to substitute fresh nulls for existentials).
-    pub fn image_with(&self, atom: &Atom, extra: impl Fn(Variable) -> Option<Term>) -> Atom {
-        Atom {
-            predicate: atom.predicate,
-            terms: atom
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => self.get(*v).or_else(|| extra(*v)).unwrap_or(*t),
-                    other => *other,
-                })
-                .collect(),
-        }
-    }
-
     /// The target row id matched by each pattern atom, in pattern order
     /// ([`PREMATCHED_ROW`] for atoms satisfied via [`Matcher::prematch`]).
     pub fn matched_rows(&self) -> &[RowId] {
@@ -734,7 +711,6 @@ pub struct Matcher<'s> {
     trail: Vec<u32>,
     used: Vec<bool>,
     rows: Vec<RowId>,
-    fixed_order: bool,
     plan: Option<&'s JoinPlan>,
     limit: usize,
     budget: Option<KernelBudget<'s>>,
@@ -749,27 +725,19 @@ impl<'s> Matcher<'s> {
             used: vec![false; spec.num_atoms()],
             rows: vec![PREMATCHED_ROW; spec.num_atoms()],
             spec,
-            fixed_order: false,
             plan: None,
             limit: usize::MAX,
             budget: None,
         }
     }
 
-    /// Resets all bindings and pre-matches for the next run (the plan, the
-    /// fixed-order flag and the limit are run configuration and persist).
+    /// Resets all bindings and pre-matches for the next run (the plan and
+    /// the limit are run configuration and persist).
     pub fn clear(&mut self) {
         self.slots.fill(None);
         self.trail.clear();
         self.used.fill(false);
         self.rows.fill(PREMATCHED_ROW);
-    }
-
-    /// Follow the pattern's atom order instead of adaptive most-selective
-    /// selection (for join-ordering experiments).
-    pub fn set_fixed_order(&mut self, fixed: bool) -> &mut Self {
-        self.fixed_order = fixed;
-        self
     }
 
     /// Installs a static build/probe plan (see [`JoinSpec::plan`]). The plan
@@ -880,7 +848,7 @@ impl<'s> Matcher<'s> {
         // plan degrades to the adaptive search instead of misbehaving.
         let planned = self
             .plan
-            .filter(|p| !self.fixed_order && !p.prefer_streaming && p.applies_to(&self.used));
+            .filter(|p| !p.prefer_streaming && p.applies_to(&self.used));
         // A budget that is already exceeded stops the run before any probe.
         if self.budget.is_some_and(|b| b.poll()) {
             return stats;
@@ -892,7 +860,6 @@ impl<'s> Matcher<'s> {
             trail: &mut self.trail,
             used: &mut self.used,
             rows: &mut self.rows,
-            fixed_order: self.fixed_order,
             limit: self.limit,
             emitted: 0,
             budget: self.budget,
@@ -913,7 +880,6 @@ struct SearchCtx<'a, 'b> {
     trail: &'a mut Vec<u32>,
     used: &'a mut Vec<bool>,
     rows: &'a mut Vec<RowId>,
-    fixed_order: bool,
     limit: usize,
     emitted: usize,
     budget: Option<KernelBudget<'a>>,
@@ -983,10 +949,9 @@ impl<'b> SearchCtx<'_, 'b> {
         found.unwrap_or(Probe::Scan)
     }
 
-    /// Picks the next atom: pattern order when `fixed_order`, otherwise the
-    /// unused atom with the fewest candidates.
+    /// Picks the next atom: the unused atom with the fewest candidates.
     fn select(&self, open: usize) -> Option<(usize, Probe)> {
-        if self.fixed_order || open == 1 {
+        if open == 1 {
             let i = self.used.iter().position(|u| !u)?;
             return Some((i, self.probe_of(i)));
         }
@@ -1603,28 +1568,6 @@ mod tests {
         assert_eq!(count, 1);
         // Conflicting prebind is rejected.
         assert!(!matcher.prebind(Variable::new("X"), Term::constant("z")));
-    }
-
-    #[test]
-    fn fixed_order_and_adaptive_order_agree_on_answers() {
-        let db = chain_db();
-        let pattern = vec![
-            Atom::new("edge", vec![var("X"), var("Y")]),
-            Atom::new("edge", vec![Term::constant("b"), var("Z")]),
-        ];
-        let spec = JoinSpec::compile(&pattern);
-        let collect = |fixed: bool| {
-            let mut matcher = Matcher::new(&spec);
-            matcher.set_fixed_order(fixed);
-            let mut out = Vec::new();
-            matcher.for_each(&db, |b| {
-                out.push(b.to_substitution().to_string());
-                ControlFlow::Continue(())
-            });
-            out.sort();
-            out
-        };
-        assert_eq!(collect(true), collect(false));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! * [`TilingSystem`] — the tuple `(T, L, R, H, V, a, b)` of tiles, border
 //!   sets, horizontal/vertical constraints and start/finish tiles;
-//! * [`reduction`] — the construction of the database `D_T`, the fixed
+//! * [`mod@reduction`] — the construction of the database `D_T`, the fixed
 //!   piece-wise linear (non-warded) TGD set Σ and the Boolean CQ `q` from
 //!   Section 5;
 //! * [`solver`] — a bounded brute-force tiling solver used to cross-validate

@@ -109,7 +109,7 @@ fn lint_scenarios() -> bool {
     let suites: Vec<(&str, Program)> = vec![
         (
             "tc",
-            parser::parse_rules(benchgen::TWO_CLOSURE_PROGRAM).expect("TC program parses"),
+            parser::parse_rules(benchgen::REACH_PROGRAM).expect("TC program parses"),
         ),
         (
             // The fkjoin scenario ships a CQ, not rules; lint the rule form

@@ -7,12 +7,14 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
+use vadalog::benchgen::{data_exchange_scenario, owl_database, owl_program};
 use vadalog::chase::{ChaseConfig, ChaseEngine, TerminationPolicy};
 use vadalog::core::CertainAnswerEngine;
 use vadalog::datalog::DatalogEngine;
-use vadalog::engine::{EngineConfig, Reasoner};
+use vadalog::engine::{EngineConfig, JoinOrdering, Reasoner, ReasonerResult};
 use vadalog::model::parser::{parse_query, parse_rules};
-use vadalog::model::{Atom, Database, Instance, Program, Symbol};
+use vadalog::model::{Atom, ConjunctiveQuery, Database, Instance, Program, Symbol};
 
 fn tc_program() -> Program {
     parse_rules("t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).").unwrap()
@@ -35,31 +37,154 @@ fn arb_database(rng: &mut StdRng) -> Database {
     db
 }
 
-/// Chase, semi-naive Datalog and the bottom-up engine compute the same
-/// transitive closure on random graphs.
+/// Every `Reasoner` configuration: {PWL-aware, as-written} body order ×
+/// {per-stratum, global} fixpoint × {1, 4} detection threads, a
+/// configuration's sequential run right before its 4-thread run.
+fn reasoner_configs(termination: TerminationPolicy) -> Vec<EngineConfig> {
+    let mut configs = Vec::new();
+    for join_ordering in [JoinOrdering::PwlAware, JoinOrdering::AsWritten] {
+        for materialize_strata in [true, false] {
+            for threads in [1, 4] {
+                configs.push(EngineConfig {
+                    join_ordering,
+                    materialize_strata,
+                    termination,
+                    threads,
+                });
+            }
+        }
+    }
+    configs
+}
+
+/// One all-free query per head predicate of a program over binary relations.
+fn head_queries(program: &Program) -> Vec<ConjunctiveQuery> {
+    let heads: BTreeSet<String> = program
+        .iter()
+        .map(|(_, tgd)| tgd.head[0].predicate.name().to_string())
+        .collect();
+    heads
+        .iter()
+        .map(|p| parse_query(&format!("?(X, Y) :- {p}(X, Y).")).unwrap())
+        .collect()
+}
+
+/// Chase, semi-naive Datalog and every configuration of the bottom-up
+/// engine materialise the same relations: the transitive closure and random
+/// Datalog programs (mutual and non-linear recursion included) on random
+/// graphs.
 #[test]
 fn materialising_engines_agree() {
     let mut rng = StdRng::seed_from_u64(31);
-    for _ in 0..8 {
+    for case in 0..8 {
         let db = arb_database(&mut rng);
+        let random_program = arb_program(&mut rng);
         if db.is_empty() {
             continue;
         }
-        let program = tc_program();
-        let query = parse_query("?(X, Y) :- t(X, Y).").unwrap();
+        for program in [tc_program(), random_program] {
+            let datalog = DatalogEngine::new(program.clone()).unwrap().evaluate(&db);
+            let chase = ChaseEngine::new(
+                program.clone(),
+                ChaseConfig::restricted(TerminationPolicy::Unbounded),
+            )
+            .run(&db);
+            assert!(chase.completed);
+            let reasoners: Vec<(EngineConfig, ReasonerResult)> =
+                reasoner_configs(TerminationPolicy::Unbounded)
+                    .into_iter()
+                    .map(|config| (config, Reasoner::new(&program, config).run(&db)))
+                    .collect();
+            for query in head_queries(&program) {
+                let truth = datalog.answers(&query);
+                assert_eq!(
+                    chase.instance_answers(&query),
+                    truth,
+                    "case {case}: chase diverged on {query}\n{program}"
+                );
+                for (config, reasoner) in &reasoners {
+                    assert!(reasoner.completed);
+                    assert_eq!(
+                        reasoner.answers(&query),
+                        truth,
+                        "case {case}: reasoner {config:?} diverged on {query}\n{program}"
+                    );
+                }
+            }
+        }
+    }
+}
 
-        let datalog = DatalogEngine::new(program.clone())
-            .unwrap()
-            .answers(&db, &query);
-        let chase = ChaseEngine::new(
-            program.clone(),
-            ChaseConfig::restricted(TerminationPolicy::Unbounded),
-        )
-        .certain_answers(&db, &query);
-        let reasoner = Reasoner::new(&program, EngineConfig::default()).answers(&db, &query);
+/// The cross-engine checks of the benchmark's `chase_warded` workload, at
+/// test size: on programs with existentials, `ChaseEngine` and every
+/// `Reasoner` configuration give the same answers to the workload's 2-hop
+/// CQ and invent the same number of nulls, thread counts leave row layouts
+/// untouched, and the oblivious chase agrees with the restricted one on
+/// null-free answers.
+#[test]
+fn existential_programs_agree_across_engines_configurations_and_variants() {
+    let two_hop_owl = parse_query("?(X, D) :- type(X, C), subclassStar(C, D).").unwrap();
+    let two_hop_dex = parse_query("?(X, Z) :- link(X, Y), connected(Y, Z).").unwrap();
+    let mut scenarios = Vec::new();
+    for seed in 0..3u64 {
+        let dex = data_exchange_scenario(2, 30, 12, seed);
+        scenarios.push((
+            format!("data exchange, seed {seed}"),
+            dex.program,
+            dex.database,
+            TerminationPolicy::Unbounded,
+            &two_hop_dex,
+        ));
+        scenarios.push((
+            format!("OWL 2 QL, seed {seed}"),
+            owl_program(),
+            owl_database(15, 4, 30, seed),
+            TerminationPolicy::MaxNullDepth(6),
+            &two_hop_owl,
+        ));
+    }
+    for (name, program, db, policy, query) in scenarios {
+        let chase_with = |config: ChaseConfig| ChaseEngine::new(program.clone(), config).run(&db);
+        let chase = chase_with(ChaseConfig::restricted(policy));
+        let answers = chase.instance_answers(query);
+        assert!(!answers.is_empty(), "{name}: the 2-hop CQ has no answers");
+        assert!(chase.stats.nulls_created > 0, "{name}: no value invention");
 
-        assert_eq!(datalog, chase);
-        assert_eq!(datalog, reasoner);
+        let chase_par = chase_with(ChaseConfig::restricted(policy).with_threads(4));
+        assert_eq!(
+            row_layout(&chase_par.instance),
+            row_layout(&chase.instance),
+            "{name}: chase row layout depends on the thread count"
+        );
+        assert_eq!(
+            chase_with(ChaseConfig::oblivious(policy)).instance_answers(query),
+            answers,
+            "{name}: oblivious and restricted chase disagree on null-free answers"
+        );
+
+        let mut sequential_layout = Vec::new();
+        for config in reasoner_configs(policy) {
+            let reasoner = Reasoner::new(&program, config).run(&db);
+            assert_eq!(
+                reasoner.answers(query),
+                answers,
+                "{name}: reasoner {config:?} answers diverged from the chase"
+            );
+            assert_eq!(
+                reasoner.stats.nulls_created, chase.stats.nulls_created,
+                "{name}: reasoner {config:?} null count diverged from the chase"
+            );
+            assert_eq!(reasoner.completed, chase.completed, "{name}: {config:?}");
+            let layout = row_layout(&reasoner.instance);
+            if config.threads == 1 {
+                sequential_layout = layout;
+            } else {
+                assert_eq!(
+                    layout, sequential_layout,
+                    "{name}: reasoner {config:?} row layout depends on the thread count"
+                );
+            }
+        }
     }
 }
 
