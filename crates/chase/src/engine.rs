@@ -16,19 +16,18 @@
 //! # Round structure
 //!
 //! Each round separates **trigger detection** from **trigger application**.
-//! Detection runs against the round's frozen instance. A rule is *driven*
-//! from the rows of one body atom ([`Matcher::prematch`]) and the remaining
-//! atoms follow the static build/probe plan [`JoinSpec::plan`] computes for
-//! that driven position — the strategy of the Datalog crate's fixpoint:
-//!
-//! * in the **first round** of a `saturate` call body atom 0 drives, over its
-//!   whole relation (so the atom a caller places first is the driver — the
-//!   reasoner's PWL-aware ordering puts the recursive atom there);
-//! * in **later rounds** every body position drives, over only the rows its
-//!   relation gained since that position was last driven (rows are
-//!   append-only with stable ids, so "gained" is a row-id range above a
-//!   per-call watermark). A trigger is therefore detected in the first round
-//!   in which all its rows exist, and never again.
+//! What a round detects is decided by the scheduler this loop shares with the
+//! Datalog crate's fixpoint, [`vadalog_model::DrivenRows`]: a rule is driven
+//! from the rows of one body atom ([`Matcher::prematch`]) with the rest of the
+//! body following the plan [`JoinSpec::plan`] computes for that position.
+//! Every `saturate` call starts the schedule from
+//! [`DrivenRows::from_first_atom`], so its first round drives body atom 0 over
+//! its whole relation (the atom a caller places first is the driver — the
+//! reasoner's PWL-aware ordering puts the recursive atom there) and later
+//! rounds drive each position over only the rows its relation gained; a
+//! trigger is detected in the first round in which all its rows exist, and
+//! never again. The two loops differ in the head action only: this one
+//! applies triggers sequentially (below), the Datalog one emits packed rows.
 //!
 //! The (rule, driven position) tasks of a round run on
 //! [`ChaseConfig::threads`] scoped workers via
@@ -52,8 +51,8 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
 use vadalog_model::parallel;
 use vadalog_model::{
-    Atom, ConjunctiveQuery, Database, Instance, JoinPlan, JoinSpec, Matcher, NullId, Program,
-    RowId, Symbol, Term, Tgd, Variable,
+    Atom, ConjunctiveQuery, Database, DrivenRange, DrivenRows, Instance, JoinPlan, JoinSpec,
+    Matcher, NullId, Program, RowId, Symbol, Term, Tgd, Variable,
 };
 
 /// Which chase variant to run.
@@ -200,15 +199,6 @@ impl ChaseRule {
             nulls.iter().find(|&&(w, _)| w == v).map(|&(_, n)| n)
         })
     }
-
-    /// Rows of body atom `pos`'s relation in `instance` (0 when the relation
-    /// is absent or has another arity: the atom then matches nothing).
-    fn driver_rows(&self, instance: &Instance, pos: usize) -> RowId {
-        instance
-            .relation(self.body.atom_predicate(pos))
-            .filter(|rel| rel.arity() == self.body.atom_arity(pos))
-            .map_or(0, |rel| rel.row_count())
-    }
 }
 
 /// One collected trigger: the body homomorphism as a dense slot-value tuple
@@ -217,15 +207,6 @@ impl ChaseRule {
 struct Trigger {
     values: Vec<Term>,
     rows: Vec<RowId>,
-}
-
-/// One detection task of a round: drive `rule`'s body atom `pos` from the
-/// rows `lo..hi` of its relation.
-struct DrivenRange {
-    rule: usize,
-    pos: usize,
-    lo: RowId,
-    hi: RowId,
 }
 
 /// A chase in progress: everything that must survive from one
@@ -260,7 +241,7 @@ impl Saturation {
 
     /// Chases `rules` to fixpoint over the current instance, or until the
     /// termination policy stops the chase (see the module docs for the round
-    /// structure). Watermarks are local to the call: its first round sees
+    /// structure). The schedule is local to the call: its first round sees
     /// the whole instance.
     pub fn saturate(&mut self, rules: &[ChaseRule]) {
         let mut head_matchers: Vec<Matcher<'_>> = rules
@@ -271,37 +252,10 @@ impl Saturation {
                 m
             })
             .collect();
-        // Per (rule, body position): rows of the position's relation already
-        // driven through it. Position 0 starts at 0 and the others at their
-        // relation's current size, which makes the first round "atom 0 over
-        // everything" without a special case.
-        let mut driven: Vec<Vec<RowId>> = rules
-            .iter()
-            .map(|rule| {
-                (0..rule.body.num_atoms())
-                    .map(|pos| match pos {
-                        0 => 0,
-                        _ => rule.driver_rows(&self.instance, pos),
-                    })
-                    .collect()
-            })
-            .collect();
+        let bodies = || rules.iter().map(|rule| &rule.body);
+        let mut schedule = DrivenRows::from_first_atom(bodies(), &self.instance);
         loop {
-            let mut tasks = Vec::new();
-            for (rule_index, rule) in rules.iter().enumerate() {
-                for (pos, lo) in driven[rule_index].iter_mut().enumerate() {
-                    let hi = rule.driver_rows(&self.instance, pos);
-                    if *lo < hi {
-                        tasks.push(DrivenRange {
-                            rule: rule_index,
-                            pos,
-                            lo: *lo,
-                            hi,
-                        });
-                        *lo = hi;
-                    }
-                }
-            }
+            let tasks = schedule.next_round(bodies(), &self.instance);
             if tasks.is_empty() {
                 return;
             }
@@ -334,8 +288,8 @@ impl Saturation {
         parallel::run_tasks(self.config.threads, tasks.len(), |task_index| {
             let task = &tasks[task_index];
             let body = &rules[task.rule].body;
-            let rel = instance
-                .relation(body.atom_predicate(task.pos))
+            let rel = body
+                .atom_relation(instance, task.pos)
                 .expect("a driven range is non-empty, so its relation exists");
             let mut triggers = Vec::new();
             let mut probes = (task.hi - task.lo) as usize;

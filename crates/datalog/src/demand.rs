@@ -19,10 +19,11 @@
 //!    magic seed facts — concurrent queries therefore never mutate shared
 //!    state, and the served snapshot is never polluted with magic
 //!    predicates;
-//! 3. runs the ordinary stratified semi-naive fixpoint over the scratch
-//!    instance through the same sharded round machinery as
-//!    [`crate::DatalogEngine`] (bit-identical across thread counts), with
-//!    the query deadline polled cooperatively between rounds;
+//! 3. runs the crate's one fixpoint loop ([`crate::engine`]) over the scratch
+//!    instance, stratum by stratum and from scratch
+//!    ([`vadalog_model::DrivenRows::from_first_atom`]) exactly as
+//!    [`crate::DatalogEngine`] does (bit-identical across thread counts),
+//!    with the query deadline polled cooperatively between rounds;
 //! 4. answers the renamed query over the scratch instance, charging any
 //!    row limit and the remaining deadline to the final CQ evaluation.
 //!
@@ -43,8 +44,7 @@ use vadalog_analysis::magic::{demand_signature, magic_rewrite, MagicFallback, Ma
 use vadalog_analysis::stratify::stratify;
 use vadalog_analysis::BindingPattern;
 use vadalog_model::{
-    BudgetExceeded, ConjunctiveQuery, Instance, MergeScratch, Predicate, Program, QueryBudget,
-    Symbol,
+    BudgetExceeded, ConjunctiveQuery, DrivenRows, Instance, Predicate, Program, QueryBudget, Symbol,
 };
 
 /// Why a demand-driven evaluation did not produce an answer.
@@ -161,11 +161,6 @@ impl SpecialisedProgram {
             base_predicates: base_predicates.into_iter().collect(),
             generated,
         }
-    }
-
-    /// The underlying rewrite (for rendering / inspection).
-    pub fn rewrite(&self) -> &MagicRewrite {
-        &self.rewrite
     }
 }
 
@@ -333,18 +328,14 @@ impl DemandEngine {
         }
 
         let mut stats = DatalogStats::default();
-        let mut merge = MergeScratch::new();
         for stratum in &specialised.strata {
             let mut rounds = profile.is_some().then(Vec::new);
+            let driven = DrivenRows::from_first_atom(&stratum.specs, &scratch);
             stratum_fixpoint(
-                &stratum.rules(&specialised.rewrite.program),
-                &stratum.specs,
-                &stratum.templates,
-                &stratum.predicates,
-                stratum.recursive,
+                stratum,
+                driven,
                 &mut scratch,
                 self.threads,
-                &mut merge,
                 &mut stats,
                 deadline,
                 rounds.as_mut(),

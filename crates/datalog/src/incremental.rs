@@ -16,17 +16,21 @@
 //!   ([`vadalog_analysis::predicate_graph::PredicateGraph::reachable_from`]).
 //!   Everything else is skipped without sampling a single watermark —
 //!   observable as [`DatalogStats::strata_skipped`].
-//! * **Delta-seeded semi-naive rounds.** An affected stratum restarts from
-//!   its watermarks instead of from scratch: a first *seed round*
-//!   differentiates every rule with respect to **all** body predicates that
-//!   carry unprocessed rows (freshly ingested EDB facts and the rows lower
-//!   strata derived this ingest), then the ordinary semi-naive recursion of
-//!   the batch engine ([`crate::engine`]) runs on the stratum's own
-//!   predicates. Rounds through this path are counted by
-//!   [`DatalogStats::rounds_incremental`]. The union of everything ever
-//!   ingested yields the same answer sets (and the same per-relation row
-//!   *sets*) as a from-scratch evaluation; row-id *order* additionally
-//!   depends on arrival order, never on the thread count.
+//! * **A resumed fixpoint, not a second loop.** An affected stratum runs the
+//!   crate's one fixpoint loop ([`crate::engine`]) — the loop
+//!   [`crate::DatalogEngine`] runs — started from the engine's watermarks
+//!   ([`vadalog_model::DrivenRows::from_watermarks`]) instead of from scratch:
+//!   its first round drives every rule from **every** body position whose
+//!   relation carries unprocessed rows (freshly ingested EDB facts and the
+//!   rows lower strata derived this ingest), later rounds from the rows the
+//!   previous round derived. Deadline polling, the `datalog.stratum` /
+//!   `datalog.round` trace spans and the per-round profile live in that
+//!   loop, so an ingest is traced like a batch evaluation. Rounds through
+//!   this path are counted by [`DatalogStats::rounds_incremental`]. The
+//!   union of everything ever ingested yields the same answer sets (and the
+//!   same per-relation row *sets*) as a from-scratch evaluation; row-id
+//!   *order* additionally depends on arrival order, never on the thread
+//!   count.
 //! * **Fail-closed ingestion.** A batch is packed and admission-checked in
 //!   full *before* the first row lands: arity conflicts,
 //!   [`ModelError::PackOverflow`], [`ModelError::NonGroundFact`] and the
@@ -41,14 +45,12 @@
 //!   Only the first snapshot of an epoch clones the instance; queries then
 //!   run with no lock held, concurrently with the next ingest.
 
-use crate::engine::{
-    compile_strata, flush_round, seeded_round, CompiledStratum, DatalogStats, DeltaRange,
-};
+use crate::engine::{compile_strata, stratum_fixpoint, CompiledStratum, DatalogStats};
 use std::collections::{BTreeMap, BTreeSet};
 use vadalog_analysis::predicate_graph::PredicateGraph;
 use vadalog_analysis::stratify::{stratify, Stratification};
 use vadalog_model::{
-    Atom, ConjunctiveQuery, Database, Instance, InstanceSnapshot, MergeScratch, ModelError,
+    Atom, ConjunctiveQuery, Database, DrivenRows, Instance, InstanceSnapshot, ModelError,
     PackedTerm, Predicate, Program, RowId, SnapshotCell, Symbol,
 };
 
@@ -61,12 +63,12 @@ pub struct IngestOutcome {
     pub facts_duplicate: usize,
     /// Atoms derived by re-evaluating the affected strata.
     pub derived_atoms: usize,
-    /// Strata that ran a delta-seeded evaluation.
+    /// Strata that ran at least one round.
     pub strata_evaluated: usize,
     /// Strata skipped without evaluation (graph-pruned, or reachable but
-    /// with no delta rows to seed).
+    /// with no unprocessed rows to drive).
     pub strata_skipped: usize,
-    /// Fixpoint rounds executed (seed rounds plus semi-naive recursion).
+    /// Fixpoint rounds executed.
     pub rounds: usize,
     /// The engine's epoch after the ingest.
     pub epoch: u64,
@@ -179,11 +181,6 @@ impl IncrementalEngine {
     /// The program being maintained.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The stratification used for evaluation.
-    pub fn stratification(&self) -> &Stratification {
-        &self.stratification
     }
 
     /// The live materialised instance (database facts plus derived facts).
@@ -327,28 +324,34 @@ impl IncrementalEngine {
         }
         let affected = self.stratification.affected_strata(&self.graph, &touched);
         let derived_before = self.stats.derived_atoms;
-        let rounds_before = self.stats.rounds_incremental;
-        let mut scratch = MergeScratch::new();
         for (stratum, affected) in self.strata.iter().zip(affected) {
-            let ran = affected
-                && evaluate_stratum(
-                    &self.program,
+            let rounds = if affected {
+                let driven = DrivenRows::from_watermarks(&stratum.specs, |predicate| {
+                    self.watermarks.get(&predicate).copied().unwrap_or(0)
+                });
+                stratum_fixpoint(
                     stratum,
-                    &self.watermarks,
+                    driven,
                     &mut self.instance,
                     self.threads,
-                    &mut scratch,
                     &mut self.stats,
-                );
-            if ran {
+                    None,
+                    None,
+                )
+                .expect("unbudgeted fixpoint never cancels")
+            } else {
+                0
+            };
+            if rounds > 0 {
                 outcome.strata_evaluated += 1;
+                outcome.rounds += rounds;
             } else {
                 outcome.strata_skipped += 1;
-                self.stats.strata_skipped += 1;
             }
         }
+        self.stats.strata_skipped += outcome.strata_skipped;
+        self.stats.rounds_incremental += outcome.rounds;
         outcome.derived_atoms = self.stats.derived_atoms - derived_before;
-        outcome.rounds = self.stats.rounds_incremental - rounds_before;
 
         // Phase 4: every row now present has been processed by every
         // stratum that can see it — advance the watermarks and publish the
@@ -362,95 +365,6 @@ impl IncrementalEngine {
         outcome.epoch = self.epoch;
         Ok(outcome)
     }
-}
-
-/// Runs the delta-seeded evaluation of one affected stratum: the seed round
-/// differentiates every rule with respect to every body predicate carrying
-/// unprocessed rows, then (for recursive strata) ordinary semi-naive
-/// recursion on the stratum's own predicates closes the fixpoint. Returns
-/// `false` — without running anything — when no body predicate carries a
-/// delta (the stratum was reachable in the graph but no rows actually
-/// arrived).
-fn evaluate_stratum(
-    program: &Program,
-    stratum: &CompiledStratum,
-    watermarks: &BTreeMap<Predicate, RowId>,
-    instance: &mut Instance,
-    threads: usize,
-    scratch: &mut MergeScratch,
-    stats: &mut DatalogStats,
-) -> bool {
-    let deltas: Vec<DeltaRange> = stratum
-        .body_predicates
-        .iter()
-        .filter_map(|&predicate| {
-            let hi = instance
-                .relation(predicate)
-                .map(|rel| rel.row_count())
-                .unwrap_or(0);
-            let lo = watermarks.get(&predicate).copied().unwrap_or(0).min(hi);
-            (lo < hi).then_some(DeltaRange { predicate, lo, hi })
-        })
-        .collect();
-    if deltas.is_empty() {
-        return false;
-    }
-    let rules = stratum.rules(program);
-    let watermark = |instance: &Instance| -> Vec<RowId> {
-        stratum
-            .predicates
-            .iter()
-            .map(|&p| instance.relation(p).map(|r| r.row_count()).unwrap_or(0))
-            .collect()
-    };
-
-    // Seed round: the stratum's own predicates participate with their
-    // unprocessed rows like any other body predicate; `lo` is sampled
-    // before the merge, so the seed round's derivations — and only they —
-    // form the recursion's first delta.
-    let mut lo = watermark(instance);
-    stats.iterations += 1;
-    stats.rounds_incremental += 1;
-    let outputs = seeded_round(
-        &rules,
-        &stratum.specs,
-        &stratum.templates,
-        &deltas,
-        instance,
-        threads,
-    );
-    flush_round(outputs, scratch, instance, stats);
-
-    if stratum.recursive {
-        let mut hi = watermark(instance);
-        while lo.iter().zip(hi.iter()).any(|(l, h)| l < h) {
-            stats.iterations += 1;
-            stats.rounds_incremental += 1;
-            let deltas: Vec<DeltaRange> = stratum
-                .predicates
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| lo[i] < hi[i])
-                .map(|(i, &predicate)| DeltaRange {
-                    predicate,
-                    lo: lo[i],
-                    hi: hi[i],
-                })
-                .collect();
-            let outputs = seeded_round(
-                &rules,
-                &stratum.specs,
-                &stratum.templates,
-                &deltas,
-                instance,
-                threads,
-            );
-            flush_round(outputs, scratch, instance, stats);
-            lo = hi;
-            hi = watermark(instance);
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -750,15 +664,27 @@ mod tests {
 
     #[test]
     fn from_database_seeds_like_the_batch_engine() {
-        let parsed = parse("edge(a, b). edge(b, c). edge(c, d).").unwrap();
-        let program = parse_rules(TWO_CLOSURES).unwrap();
-        let live = IncrementalEngine::from_database(program.clone(), &parsed.database).unwrap();
-        let oneshot = DatalogEngine::new(program)
-            .unwrap()
-            .evaluate(&parsed.database);
-        let q = parse_query("?(X, Y) :- t(X, Y).").unwrap();
-        assert_eq!(live.answers(&q), oneshot.answers(&q));
-        assert_eq!(sorted_rows(live.instance()), sorted_rows(&oneshot.instance));
-        assert_eq!(live.stats().derived_atoms, oneshot.stats.derived_atoms);
+        // The second case has a rule whose body atom 0 and a later atom share
+        // a predicate, over a database that already holds rows of it: the two
+        // engines start the same loop from different schedules (atom 0 over
+        // everything vs every position over the whole first batch).
+        const NONLINEAR: &str = "t(X, Y) :- edge(X, Y).\n t(X, Z) :- t(X, Y), t(Y, Z).";
+        for (rules, facts, closure) in [
+            (TWO_CLOSURES, "edge(a, b). edge(b, c). edge(c, d).", 6),
+            // a..e is a 4-step chain once the seeded `t` rows join in.
+            (NONLINEAR, "edge(a, b). edge(b, c). t(c, d). t(d, e).", 10),
+        ] {
+            let parsed = parse(facts).unwrap();
+            let program = parse_rules(rules).unwrap();
+            let live = IncrementalEngine::from_database(program.clone(), &parsed.database).unwrap();
+            let oneshot = DatalogEngine::new(program)
+                .unwrap()
+                .evaluate(&parsed.database);
+            let q = parse_query("?(X, Y) :- t(X, Y).").unwrap();
+            assert_eq!(live.answers(&q).len(), closure, "{rules}");
+            assert_eq!(live.answers(&q), oneshot.answers(&q), "{rules}");
+            assert_eq!(sorted_rows(live.instance()), sorted_rows(&oneshot.instance));
+            assert_eq!(live.stats().derived_atoms, oneshot.stats.derived_atoms);
+        }
     }
 }

@@ -11,18 +11,21 @@
 //!
 //! Evaluation is bottom-up: the program is stratified by its recursive
 //! components (`vadalog-analysis::stratify`), each stratum is saturated with
-//! semi-naive iteration (rules are differentiated with respect to the
-//! predicates of the current stratum, so work in round *i + 1* is driven only
-//! by the atoms discovered in round *i*).
+//! semi-naive iteration (a rule is driven from the rows of one body atom with
+//! the rest of the body joined behind it, so work in round *i + 1* is driven
+//! only by the atoms discovered in round *i*).
 //!
-//! Three engines share that round machinery:
+//! Three engines run that one loop ([`engine`]) and differ only in the round
+//! schedule ([`vadalog_model::DrivenRows`]) they start it from:
 //!
-//! * [`DatalogEngine`] — batch full materialisation;
+//! * [`DatalogEngine`] — batch full materialisation, from scratch: the first
+//!   round drives each rule's body atom 0 over its whole relation;
 //! * [`IncrementalEngine`] — a live instance maintained at fixpoint across
-//!   fact batches;
+//!   fact batches: each ingest resumes the loop from the engine's per-relation
+//!   watermarks, so its first round drives only the rows that arrived since;
 //! * [`DemandEngine`] — demand-driven (magic-sets) evaluation of bound
-//!   queries against a frozen snapshot, with specialised programs cached
-//!   per binding pattern ([`demand`]).
+//!   queries against a frozen snapshot, from scratch over a scratch instance,
+//!   with specialised programs cached per binding pattern ([`demand`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -46,10 +46,10 @@ pub use budget::{BudgetExceeded, CancelCell, KernelBudget, QueryBudget, BUDGET_P
 pub use database::{fuse_key, Candidates, ColSet, Database, Instance, Relation, RowId};
 pub use error::ModelError;
 pub use homomorphism::{
-    exists_homomorphism, find_homomorphism, homomorphisms, Bindings, HomSearch, JoinPlan, JoinSpec,
-    JoinStats, Matcher, PlanOptions, RowTemplate, PREMATCHED_ROW,
+    exists_homomorphism, homomorphisms, Bindings, HomSearch, JoinPlan, JoinSpec, JoinStats,
+    Matcher, PlanOptions, RowTemplate, PREMATCHED_ROW,
 };
-pub use parallel::{DerivationBatch, MergeScratch, DELTA_SHARDS};
+pub use parallel::{DerivationBatch, DrivenRange, DrivenRows, MergeScratch, DELTA_SHARDS};
 pub use program::Program;
 pub use query::ConjunctiveQuery;
 pub use snapshot::{InstanceSnapshot, SnapshotCell};

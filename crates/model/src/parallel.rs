@@ -5,14 +5,15 @@
 //!
 //! All engines in this workspace alternate two phases per round:
 //!
-//! 1. **Match (read-only, parallel).** The round's work is split into
-//!    *tasks* — e.g. one task per (rule, differentiated body position, delta
-//!    shard) in the semi-naive Datalog engine, or one task per TGD in the
-//!    chase. Workers created with [`std::thread::scope`] pull task ids from a
-//!    shared atomic cursor and run the [`crate::homomorphism`] join kernel
-//!    **read-only** against the shared `&Instance` (which is [`Sync`]: the
-//!    lazy column indexes sit behind per-column `RwLock`s). Each task streams
-//!    its derivations into a private columnar [`DerivationBatch`], so workers
+//! 1. **Match (read-only, parallel).** The round's work — the
+//!    [`DrivenRange`]s its [`DrivenRows`] schedule hands out — is split into
+//!    *tasks*: one per (rule, driven body position, row shard) in the Datalog
+//!    engines, one per (rule, driven body position) in the chase. Workers
+//!    created with [`std::thread::scope`] pull task ids from a shared atomic
+//!    cursor and run the [`crate::homomorphism`] join kernel **read-only**
+//!    against the shared `&Instance` (which is [`Sync`]: the lazy column
+//!    indexes sit behind per-column `RwLock`s). Each task streams its
+//!    derivations into a private columnar [`DerivationBatch`], so workers
 //!    never contend on anything but the task cursor and cold index builds.
 //! 2. **Merge (sequential, deterministic).** Task results are re-ordered by
 //!    task id and flushed with one batched dedup insert per relation
@@ -115,6 +116,112 @@ where
     collected.into_iter().map(|(_, r)| r).collect()
 }
 
+/// One unit of a fixpoint round's work: drive rule `rule`'s body atom `pos`
+/// from the rows `lo..hi` of its relation. Ranges are never empty, so the
+/// relation exists and has the atom's arity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrivenRange {
+    /// The rule's index among the bodies the schedule was started over.
+    pub rule: usize,
+    /// The driven body position.
+    pub pos: usize,
+    /// First row to drive.
+    pub lo: RowId,
+    /// One past the last row to drive.
+    pub hi: RowId,
+}
+
+/// The round schedule of every bottom-up loop in the workspace (the chase's
+/// and the Datalog crate's): per (rule, body position), how many rows of the
+/// position's relation have already been driven through it.
+///
+/// A rule is *driven* from the rows of one body atom
+/// ([`Matcher::prematch`]) with the rest of the body joined behind it
+/// ([`JoinSpec::plan`] for that position). Rows are append-only with stable
+/// ids, so "the rows a position has not seen" is a row-id range above its
+/// watermark: [`DrivenRows::next_round`] hands out those ranges and advances
+/// the watermarks past them, and a loop is at fixpoint when it hands out
+/// none. A match is therefore found in the first round in which all its rows
+/// exist — once per position whose row is new in that round — and never
+/// again. Loops differ in where the watermarks start and in what they do
+/// with a match, not in this bookkeeping.
+#[derive(Debug, Clone)]
+pub struct DrivenRows {
+    driven: Vec<Vec<RowId>>,
+}
+
+impl DrivenRows {
+    /// The from-scratch start: position 0 at row 0 and every other position
+    /// at its relation's current size, so the first round is "body atom 0
+    /// over its whole relation" — every match over `instance` binds atom 0 to
+    /// exactly one row — and later rounds drive each position over only the
+    /// rows its relation gained.
+    pub fn from_first_atom<'s>(
+        bodies: impl IntoIterator<Item = &'s JoinSpec>,
+        instance: &Instance,
+    ) -> DrivenRows {
+        DrivenRows::start(bodies, |body, pos| match pos {
+            0 => 0,
+            _ => driver_rows(body, instance, pos),
+        })
+    }
+
+    /// The resumed start: every position at `watermark` of its predicate —
+    /// the rows below it took part in an earlier fixpoint, so the first round
+    /// drives every position over the rows that arrived since.
+    pub fn from_watermarks<'s>(
+        bodies: impl IntoIterator<Item = &'s JoinSpec>,
+        watermark: impl Fn(Predicate) -> RowId,
+    ) -> DrivenRows {
+        DrivenRows::start(bodies, |body, pos| watermark(body.atom_predicate(pos)))
+    }
+
+    fn start<'s>(
+        bodies: impl IntoIterator<Item = &'s JoinSpec>,
+        first: impl Fn(&JoinSpec, usize) -> RowId,
+    ) -> DrivenRows {
+        let driven = bodies
+            .into_iter()
+            .map(|body| (0..body.num_atoms()).map(|pos| first(body, pos)).collect())
+            .collect();
+        DrivenRows { driven }
+    }
+
+    /// The next round's work in (rule, position) order — one range per
+    /// position whose relation in `instance` holds rows above its watermark —
+    /// with the watermarks advanced past it. `bodies` are the bodies the
+    /// schedule was started over, in the same order. Empty at fixpoint.
+    pub fn next_round<'s>(
+        &mut self,
+        bodies: impl IntoIterator<Item = &'s JoinSpec>,
+        instance: &Instance,
+    ) -> Vec<DrivenRange> {
+        let mut ranges = Vec::new();
+        for (rule, (body, driven)) in bodies.into_iter().zip(&mut self.driven).enumerate() {
+            for (pos, lo) in driven.iter_mut().enumerate() {
+                let hi = driver_rows(body, instance, pos);
+                if *lo < hi {
+                    ranges.push(DrivenRange {
+                        rule,
+                        pos,
+                        lo: *lo,
+                        hi,
+                    });
+                    *lo = hi;
+                }
+            }
+        }
+        ranges
+    }
+}
+
+/// Rows body atom `pos` can be driven from (0 when its relation is absent or
+/// has another arity).
+fn driver_rows(body: &JoinSpec, instance: &Instance, pos: usize) -> RowId {
+    body.atom_relation(instance, pos)
+        .map_or(0, Relation::row_count)
+}
+
 /// One task's derivations for a single head predicate, parked in columnar
 /// **packed** form (row-major `PackedTerm` buffer) while the instance is
 /// immutably shared.
@@ -212,19 +319,8 @@ impl MergeScratch {
 /// Merges task batches into the instance **in iteration order** with one
 /// batched dedup insert per relation, returning the number of newly inserted
 /// atoms. Row ids are assigned per relation in batch order, which is exactly
-/// the order a sequential run would have inserted them in.
-///
-/// Convenience wrapper over [`merge_derivations_with`] with throwaway
-/// scratch; engines that merge every round hold a [`MergeScratch`] instead.
-pub fn merge_derivations(
-    instance: &mut Instance,
-    batches: impl IntoIterator<Item = DerivationBatch>,
-) -> Result<usize, ModelError> {
-    merge_derivations_with(&mut MergeScratch::new(), instance, batches)
-}
-
-/// [`merge_derivations`] with caller-owned scratch buffers that are reused
-/// across rounds instead of reallocated per round.
+/// the order a sequential run would have inserted them in. The caller-owned
+/// scratch buffers are reused across rounds instead of reallocated per round.
 pub fn merge_derivations_with(
     scratch: &mut MergeScratch,
     instance: &mut Instance,
@@ -304,11 +400,7 @@ pub fn sharded_match_count(spec: &JoinSpec, instance: &Instance, threads: usize)
         total.matches = 1; // the empty pattern has the identity homomorphism
         return total;
     }
-    let predicate = spec.atom_predicate(0);
-    let Some(rel) = instance
-        .relation(predicate)
-        .filter(|r| r.arity() == spec.atom_arity(0))
-    else {
+    let Some(rel) = spec.atom_relation(instance, 0) else {
         return total;
     };
     let shards = shard_delta_rows(rel, 0, rel.row_count());
@@ -376,11 +468,7 @@ pub fn sharded_query_answers_budgeted(
         }
         return Ok(answers);
     }
-    let predicate = spec.atom_predicate(0);
-    let Some(rel) = instance
-        .relation(predicate)
-        .filter(|r| r.arity() == spec.atom_arity(0))
-    else {
+    let Some(rel) = spec.atom_relation(instance, 0) else {
         return Ok(answers);
     };
     // Output slots resolve once; an output variable outside the pattern can
@@ -492,6 +580,98 @@ mod tests {
         }
     }
 
+    fn range(rule: usize, pos: usize, lo: RowId, hi: RowId) -> DrivenRange {
+        DrivenRange { rule, pos, lo, hi }
+    }
+
+    /// The mutually recursive even/odd program's three bodies.
+    fn even_odd_bodies() -> Vec<JoinSpec> {
+        let v = Term::variable;
+        [
+            vec![Atom::new("zero", vec![v("X")])],
+            vec![
+                Atom::new("odd", vec![v("X")]),
+                Atom::new("succ", vec![v("X"), v("Y")]),
+            ],
+            vec![
+                Atom::new("even", vec![v("X")]),
+                Atom::new("succ", vec![v("X"), v("Y")]),
+            ],
+        ]
+        .iter()
+        .map(|body| JoinSpec::compile(body))
+        .collect()
+    }
+
+    #[test]
+    fn first_atom_start_drives_atom_zero_then_only_gained_rows() {
+        let bodies = even_odd_bodies();
+        let mut inst = Instance::new();
+        inst.insert(Atom::fact("zero", &["n0"])).unwrap();
+        inst.insert(Atom::fact("succ", &["n0", "n1"])).unwrap();
+        inst.insert(Atom::fact("succ", &["n1", "n2"])).unwrap();
+        let mut driven = DrivenRows::from_first_atom(&bodies, &inst);
+        // Round 0: atom 0 over its whole relation; `odd` and `even` are
+        // absent, and `succ` (a later position) starts at its current size.
+        assert_eq!(driven.next_round(&bodies, &inst), [range(0, 0, 0, 1)]);
+        assert!(driven.next_round(&bodies, &inst).is_empty());
+        // A relation absent at the start and created mid-loop gets its full
+        // `0..hi` range — exactly once.
+        inst.insert(Atom::fact("even", &["n0"])).unwrap();
+        assert_eq!(driven.next_round(&bodies, &inst), [range(2, 0, 0, 1)]);
+        inst.insert(Atom::fact("odd", &["n1"])).unwrap();
+        inst.insert(Atom::fact("even", &["n2"])).unwrap();
+        assert_eq!(
+            driven.next_round(&bodies, &inst),
+            [range(1, 0, 0, 1), range(2, 0, 1, 2)]
+        );
+        // Fixpoint: nothing gained, nothing handed out.
+        assert!(driven.next_round(&bodies, &inst).is_empty());
+    }
+
+    #[test]
+    fn watermark_start_drives_every_position_above_its_watermark() {
+        let v = Term::variable;
+        // t(X, Z) :- t(X, Y), t(Y, Z): atom 0 and a later atom share `t`.
+        let bodies = vec![JoinSpec::compile(&[
+            Atom::new("t", vec![v("X"), v("Y")]),
+            Atom::new("t", vec![v("Y"), v("Z")]),
+        ])];
+        let mut inst = Instance::new();
+        for (a, b) in [("a", "b"), ("b", "c"), ("c", "d")] {
+            inst.insert(Atom::fact("t", &[a, b])).unwrap();
+        }
+        let watermark = |p: Predicate| if p == Predicate::new("t") { 2 } else { 0 };
+        let mut resumed = DrivenRows::from_watermarks(&bodies, watermark);
+        assert_eq!(
+            resumed.next_round(&bodies, &inst),
+            [range(0, 0, 2, 3), range(0, 1, 2, 3)]
+        );
+        assert!(resumed.next_round(&bodies, &inst).is_empty());
+        // From scratch, the same body drives atom 0 over everything and the
+        // later atom over nothing; both then follow the relation's growth.
+        let mut scratch = DrivenRows::from_first_atom(&bodies, &inst);
+        assert_eq!(scratch.next_round(&bodies, &inst), [range(0, 0, 0, 3)]);
+        inst.insert(Atom::fact("t", &["a", "c"])).unwrap();
+        let gained = [range(0, 0, 3, 4), range(0, 1, 3, 4)];
+        assert_eq!(scratch.next_round(&bodies, &inst), gained);
+        assert_eq!(resumed.next_round(&bodies, &inst), gained);
+    }
+
+    #[test]
+    fn wrong_arity_relations_drive_nothing() {
+        let v = Term::variable;
+        let bodies = vec![JoinSpec::compile(&[
+            Atom::new("edge", vec![v("X")]),
+            Atom::new("edge", vec![v("X"), v("Y"), v("Z")]),
+        ])];
+        let inst = chain_db(4); // `edge` is binary here
+        let mut scratch = DrivenRows::from_first_atom(&bodies, &inst);
+        assert!(scratch.next_round(&bodies, &inst).is_empty());
+        let mut resumed = DrivenRows::from_watermarks(&bodies, |_| 0);
+        assert!(resumed.next_round(&bodies, &inst).is_empty());
+    }
+
     fn pk(name: &str) -> PackedTerm {
         PackedTerm::pack(Term::constant(name)).expect("constant packs")
     }
@@ -507,7 +687,8 @@ mod tests {
             pk("d"),
         ];
         let mut inst = Instance::new();
-        let inserted = merge_derivations(
+        let inserted = merge_derivations_with(
+            &mut MergeScratch::new(),
             &mut inst,
             [
                 DerivationBatch {
@@ -541,11 +722,19 @@ mod tests {
     fn merge_handles_zero_ary_heads() {
         let p = Predicate::new("goal");
         let mut inst = Instance::new();
-        let inserted = merge_derivations(&mut inst, [DerivationBatch::new(p, 0)]).unwrap();
+        let inserted = merge_derivations_with(
+            &mut MergeScratch::new(),
+            &mut inst,
+            [DerivationBatch::new(p, 0)],
+        )
+        .unwrap();
         assert_eq!(inserted, 0);
         let mut hit = DerivationBatch::new(p, 0);
         hit.matches = 3;
-        assert_eq!(merge_derivations(&mut inst, [hit]).unwrap(), 1);
+        assert_eq!(
+            merge_derivations_with(&mut MergeScratch::new(), &mut inst, [hit]).unwrap(),
+            1
+        );
         assert_eq!(inst.len(), 1);
     }
 
@@ -576,7 +765,8 @@ mod tests {
             "pre-dedup never touches the match counter"
         );
         // Merging the filtered batch assigns the same ids a full merge would.
-        let inserted = merge_derivations(&mut inst, [batch]).unwrap();
+        let inserted =
+            merge_derivations_with(&mut MergeScratch::new(), &mut inst, [batch]).unwrap();
         assert_eq!(inserted, 1);
         let rel = inst.relation(Predicate::new("out")).unwrap();
         assert_eq!(

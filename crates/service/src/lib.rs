@@ -115,7 +115,14 @@
 //! The request lifecycle is instrumented with [`vadalog_obs`] spans —
 //! `service.request`, the WAL's `wal.append`/`wal.fsync`,
 //! `snapshot.write`, `recovery.replay`, and the engine-side spans beneath
-//! them. Tracing is **off by default** and near-zero-cost while disabled;
+//! them. A `BATCH` on a durable server records, in order and nested under
+//! its `service.request`: `wal.append` (the fsync of `SyncPolicy::Always` is
+//! inside it; `wal.fsync` is the deferred sync of the batched policy), then
+//! one `datalog.stratum` per stratum the ingest evaluated, each around one
+//! `datalog.round` per fixpoint round; a demand-path `QUERY` records
+//! `demand.answer` around the same stratum and round spans — every engine
+//! runs the one traced fixpoint loop of `vadalog_datalog::engine`.
+//! Tracing is **off by default** and near-zero-cost while disabled;
 //! enabling it never changes answers or counters (bit-identity is
 //! property-tested). Queries whose wall time crosses
 //! [`ServerConfig::slow_query_micros`] additionally record a compact

@@ -250,7 +250,8 @@ pub enum Response {
     Answers {
         /// Epoch of the snapshot the query ran against.
         epoch: u64,
-        /// The answer tuples (already in the answer set's sorted order).
+        /// The answer tuples, in any order: [`Response::render`] sorts the
+        /// tuple lines as text.
         tuples: Vec<Vec<Symbol>>,
     },
     /// A validation report: header line with counts and the admission
@@ -301,10 +302,20 @@ impl Response {
             Response::Ok(info) => format!("OK {}\n", one_line(info)),
             Response::Error(message) => format!("ERR {}\n", one_line(message)),
             Response::Answers { epoch, tuples } => {
+                // "Sorted" is a promise about what a client can see — the
+                // constants' text — never about `Symbol` order, which follows
+                // process-wide interning order.
+                let mut lines: Vec<String> = tuples
+                    .iter()
+                    .map(|tuple| {
+                        let cells: Vec<String> = tuple.iter().map(render_constant).collect();
+                        cells.join(" ")
+                    })
+                    .collect();
+                lines.sort_unstable();
                 let mut out = format!("OK answers={} epoch={}\n", tuples.len(), epoch);
-                for tuple in tuples {
-                    let cells: Vec<String> = tuple.iter().map(render_constant).collect();
-                    out.push_str(&cells.join(" "));
+                for line in lines {
+                    out.push_str(&line);
                     out.push('\n');
                 }
                 out.push_str("END\n");
@@ -654,6 +665,33 @@ mod tests {
     }
 
     #[test]
+    fn answers_are_sorted_as_text_whatever_the_interning_order() {
+        // Interned in reverse lexicographic order, so `Symbol` order (interning
+        // order — the order of an answer `BTreeSet`) is the reverse of the
+        // text order the protocol promises.
+        let names = ["order-probe-c", "order-probe-b", "order-probe-a"];
+        let answers: std::collections::BTreeSet<Vec<Symbol>> = names
+            .iter()
+            .map(|name| vec![Symbol::new(name), Symbol::new("order-probe-c")])
+            .collect();
+        let in_symbol_order: Vec<String> = answers.iter().map(|t| t[0].to_string()).collect();
+        assert_eq!(in_symbol_order, names, "the adversarial set-up took");
+        let rendered = Response::Answers {
+            epoch: 7,
+            tuples: answers.into_iter().collect(),
+        }
+        .render();
+        assert_eq!(
+            rendered,
+            "OK answers=3 epoch=7\n\
+             order-probe-a order-probe-c\n\
+             order-probe-b order-probe-c\n\
+             order-probe-c order-probe-c\n\
+             END\n"
+        );
+    }
+
+    #[test]
     fn validate_requests_carry_the_candidate_source() {
         let parsed = parse_request("VALIDATE t(X, Y) :- edge(X, Y).").unwrap();
         assert!(matches!(
@@ -724,9 +762,10 @@ mod tests {
             ],
         }
         .render();
+        // Tuple lines come back sorted as rendered text (`"` sorts before `E`).
         assert_eq!(
             rendered,
-            "OK answers=3 epoch=1\nEND\n\"x.y z\" plain\n\"say \\\"hi\\\"\"\nEND\n"
+            "OK answers=3 epoch=1\n\"say \\\"hi\\\"\"\n\"x.y z\" plain\nEND\nEND\n"
         );
     }
 }

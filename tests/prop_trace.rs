@@ -219,6 +219,63 @@ fn tracing_never_changes_answers_or_counters() {
     }
 }
 
+/// An ingest runs the same traced loop as a batch evaluation: one
+/// `datalog.stratum` span per stratum that ran a round, one `datalog.round`
+/// span per counted round, nested in that order — and recording them changes
+/// neither the row layout nor any counter.
+#[test]
+fn ingest_emits_the_stratum_and_round_spans_it_counts() {
+    let _serial = obs_switches();
+    let program = parse_rules(
+        "t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).\n\
+         s(X, Y) :- link(X, Y).\n\
+         both(X, Y) :- t(X, Y), s(X, Y).",
+    )
+    .unwrap();
+    let batches = [
+        vec![
+            Atom::fact("edge", &["a", "b"]),
+            Atom::fact("link", &["a", "c"]),
+        ],
+        vec![Atom::fact("edge", &["b", "c"])],
+    ];
+    let run = |tracing: bool| {
+        obs::set_enabled(tracing);
+        obs::drain();
+        let mut live = IncrementalEngine::new(program.clone()).unwrap();
+        let mut spans = Vec::new();
+        for batch in &batches {
+            let outcome = live.ingest(batch).unwrap();
+            assert!(outcome.derived_atoms > 0);
+            spans.push((outcome, obs::drain()));
+        }
+        obs::set_enabled(false);
+        (live.instance().row_layout(), *live.stats(), spans)
+    };
+    let (layout_off, stats_off, spans_off) = run(false);
+    let (layout_on, stats_on, spans_on) = run(true);
+    assert_eq!(layout_on, layout_off);
+    assert_eq!(stats_on, stats_off);
+    assert!(spans_off.iter().all(|(_, records)| records.is_empty()));
+    for (outcome, records) in &spans_on {
+        let of_kind = |kind: &str| {
+            records
+                .iter()
+                .filter(|r| r.kind == kind)
+                .collect::<Vec<_>>()
+        };
+        let strata = of_kind("datalog.stratum");
+        let rounds = of_kind("datalog.round");
+        assert_eq!(strata.len(), outcome.strata_evaluated);
+        assert_eq!(rounds.len(), outcome.rounds);
+        for round in rounds {
+            assert!(strata.iter().any(|s| s.span_id == round.parent));
+        }
+    }
+    // The second batch cannot reach `s`: that stratum is skipped, unspanned.
+    assert_eq!(spans_on[1].0.strata_skipped, 1);
+}
+
 /// The demand path's magic-vs-fallback decision is itself stable under
 /// tracing: a query that falls back with tracing off falls back with
 /// tracing on (the service surfaces the reason through EXPLAIN, so a
