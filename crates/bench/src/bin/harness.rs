@@ -260,10 +260,7 @@ fn e5_tiling() {
         let solver = has_tiling_within(&system, 4, 4).is_some();
         let chase = ChaseEngine::new(
             red.program.clone(),
-            ChaseConfig {
-                record_provenance: false,
-                ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4))
-            },
+            ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4)),
         );
         let result = chase.run(&red.database);
         table.row(&[

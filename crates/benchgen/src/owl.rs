@@ -133,10 +133,7 @@ mod tests {
         let db = owl_database(10, 3, 20, 1);
         let engine = ChaseEngine::new(
             owl_program(),
-            ChaseConfig {
-                record_provenance: false,
-                ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(3))
-            },
+            ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(3)),
         );
         let result = engine.run(&db);
         // Something beyond the database must be derivable.

@@ -73,8 +73,9 @@ pub struct ChaseConfig {
     pub variant: ChaseVariant,
     /// The termination policy.
     pub policy: TerminationPolicy,
-    /// Whether to record provenance (the chase graph). Disable for large
-    /// benchmark runs where only the result instance matters.
+    /// Whether to record provenance (the chase graph, [`ChaseResult::graph`]).
+    /// Off in every constructor: recording costs time on every chase step
+    /// and only a caller that inspects the graph should opt in.
     pub record_provenance: bool,
     /// Worker threads for per-round trigger detection (1 = sequential,
     /// 0 = all available parallelism). Trigger application stays sequential,
@@ -94,13 +95,12 @@ impl Default for ChaseConfig {
 }
 
 impl ChaseConfig {
-    /// A restricted chase with the given termination policy and provenance
-    /// recording enabled.
+    /// A restricted chase with the given termination policy.
     pub fn restricted(policy: TerminationPolicy) -> ChaseConfig {
         ChaseConfig {
             variant: ChaseVariant::Restricted,
             policy,
-            record_provenance: true,
+            record_provenance: false,
             threads: 1,
         }
     }
@@ -110,7 +110,7 @@ impl ChaseConfig {
         ChaseConfig {
             variant: ChaseVariant::Oblivious,
             policy,
-            record_provenance: true,
+            record_provenance: false,
             threads: 1,
         }
     }
@@ -632,7 +632,10 @@ mod tests {
         let result = run_chase(
             "t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).",
             "edge(a, b). edge(b, c).",
-            ChaseConfig::restricted(TerminationPolicy::Unbounded),
+            ChaseConfig {
+                record_provenance: true,
+                ..ChaseConfig::restricted(TerminationPolicy::Unbounded)
+            },
         );
         let t_ac = Atom::fact("t", &["a", "c"]);
         let record = result.graph.derivation_of(&t_ac).expect("t(a,c) derived");

@@ -1,6 +1,6 @@
-//! The chase procedure for TGDs (Section 2 of the paper) with provenance
-//! tracking (the chase graph of Section 4.2) and termination control
-//! (Section 7).
+//! The chase procedure for TGDs (Section 2 of the paper) with termination
+//! control (Section 7) and, on request, provenance tracking (the chase graph
+//! of Section 4.2; see [`ChaseConfig::record_provenance`]).
 //!
 //! The chase is the classical bottom-up tool for certain-answer computation:
 //! `cert(q, D, Σ) = q(chase(D, Σ))` (Proposition 2.1). For warded programs

@@ -3,8 +3,9 @@
 //! The chase graph `G_{D,Σ}` has the atoms of `chase(D, Σ)` as nodes and an
 //! edge `(α, β)` labelled `(σ, h)` whenever β was derived by firing σ with a
 //! trigger h whose image contains α. The proof of Theorems 4.8/4.9 unravels
-//! this graph; here it is exposed for inspection, testing and the engine's
-//! termination heuristics.
+//! this graph; here it is recorded only when
+//! [`ChaseConfig::record_provenance`](crate::ChaseConfig::record_provenance)
+//! asks for it, for inspection and testing. The chase itself never reads it.
 
 use std::collections::HashMap;
 use vadalog_model::Atom;

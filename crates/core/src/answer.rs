@@ -7,7 +7,8 @@
 //!
 //! * `WARD ∩ PWL` → the space-bounded **linear proof search** of Section 4.3
 //!   (the paper's headline NLogSpace algorithm);
-//! * `WARD` (non-PWL) → the **alternating** bounded-node-width search;
+//! * `WARD` (non-PWL) → the same search ([`crate::search`]) with
+//!   **decomposition**, the deterministic form of the alternating algorithm;
 //! * answer *enumeration* (rather than the decision problem) uses the
 //!   Theorem 6.3 **Datalog rewriting** when it applies, and otherwise falls
 //!   back to a terminating **chase** (which is complete whenever its
@@ -17,9 +18,8 @@
 //! point of Theorem 5.1 — unless the caller explicitly opts into the
 //! best-effort chase fallback.
 
-use crate::alternating::{alternating_certain_answer, AlternatingOptions};
 use crate::rewrite::{rewrite_to_pwl_datalog, RewriteOptions};
-use crate::search::{linear_proof_search, SearchOptions, SearchOutcome};
+use crate::search::{linear_proof_search, warded_proof_search, SearchOptions};
 use std::collections::BTreeSet;
 use vadalog_analysis::normalize::normalize_single_head;
 use vadalog_analysis::pwl::is_piecewise_linear;
@@ -33,7 +33,8 @@ use vadalog_model::{ConjunctiveQuery, Database, ModelError, Program, Symbol};
 pub enum Strategy {
     /// Linear proof search (program is warded and piece-wise linear).
     LinearProofSearch,
-    /// Alternating bounded-node-width search (warded, not piece-wise linear).
+    /// Proof search with decomposition (warded, not piece-wise linear): the
+    /// deterministic AND/OR form of the paper's alternating algorithm.
     Alternating,
     /// Best-effort chase (program is not warded; only used when
     /// [`EngineOptions::allow_unwarded`] is set).
@@ -43,10 +44,8 @@ pub enum Strategy {
 /// Options for the certain-answer engine.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineOptions {
-    /// Options for the linear proof search.
+    /// Options for the proof search (both program classes).
     pub search: SearchOptions,
-    /// Options for the alternating search.
-    pub alternating: AlternatingOptions,
     /// Options for the Datalog rewriting used by answer enumeration.
     pub rewrite: RewriteOptions,
     /// Termination policy of the chase fallback used by answer enumeration.
@@ -65,7 +64,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             search: SearchOptions::default(),
-            alternating: AlternatingOptions::default(),
             rewrite: RewriteOptions::default(),
             chase_policy: TerminationPolicy::MaxNullDepth(6),
             allow_unwarded: false,
@@ -170,33 +168,24 @@ impl CertainAnswerEngine {
 
     /// Decides a Boolean query (certainly true over every model?).
     pub fn boolean_certain(&self, database: &Database, boolean_query: &ConjunctiveQuery) -> bool {
-        match self.strategy {
-            Strategy::LinearProofSearch => {
-                let outcome = linear_proof_search(
-                    &self.normalized,
-                    database,
-                    boolean_query,
-                    self.options.search,
-                );
-                matches!(outcome, SearchOutcome::Accepted { .. })
-            }
-            Strategy::Alternating => {
-                alternating_certain_answer(
-                    &self.normalized,
-                    database,
-                    boolean_query,
-                    self.options.alternating,
-                )
-                .accepted
-            }
+        let search = match self.strategy {
+            Strategy::LinearProofSearch => linear_proof_search,
+            Strategy::Alternating => warded_proof_search,
             Strategy::BestEffortChase => {
                 let chase = ChaseEngine::new(
                     self.normalized.clone(),
                     ChaseConfig::restricted(self.options.chase_policy),
                 );
-                chase.run(database).boolean_answer(boolean_query)
+                return chase.run(database).boolean_answer(boolean_query);
             }
-        }
+        };
+        search(
+            &self.normalized,
+            database,
+            boolean_query,
+            self.options.search,
+        )
+        .is_accepted()
     }
 
     /// Enumerates the certain answers to `query` over `database`.
@@ -223,11 +212,7 @@ impl CertainAnswerEngine {
         // (or the termination policy is generous enough for the query).
         let chase = ChaseEngine::new(
             self.normalized.clone(),
-            ChaseConfig {
-                record_provenance: false,
-                threads: self.options.threads,
-                ..ChaseConfig::restricted(self.options.chase_policy)
-            },
+            ChaseConfig::restricted(self.options.chase_policy).with_threads(self.options.threads),
         );
         Ok(chase.certain_answers(database, query))
     }

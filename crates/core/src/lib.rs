@@ -7,12 +7,10 @@
 //!   σ-resolvents ([`resolution`]);
 //! * the **node-width bounds** `f_{WARD∩PWL}` and `f_{WARD}` of
 //!   Theorems 4.8/4.9 ([`bounds`]);
-//! * the **space-bounded decision procedure** for
-//!   `CQAns(WARD ∩ PWL)` — a deterministic, memoised simulation of the
-//!   non-deterministic algorithm of Section 4.3 that explores linear proof
-//!   trees level by level ([`search`]);
-//! * the **alternating-style procedure** for `CQAns(WARD)` that explores
-//!   branching proof trees of bounded node-width ([`alternating`]);
+//! * **one proof search** ([`search`]), a memoised breadth-first simulation
+//!   of Section 4.3's non-deterministic algorithms: linear proof trees for
+//!   `CQAns(WARD ∩ PWL)` (Theorem 4.8), and trees that branch at
+//!   decompositions for `CQAns(WARD)` (Theorem 4.9);
 //! * the **rewriting into piece-wise linear Datalog** behind the
 //!   expressiveness result of Theorem 6.3 ([`rewrite`]);
 //! * a high-level [`answer::CertainAnswerEngine`] that normalises a program,
@@ -24,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod alternating;
 pub mod answer;
 pub mod bounds;
 pub mod metrics;
@@ -33,11 +30,12 @@ pub mod rewrite;
 pub mod search;
 pub mod support;
 
-pub use alternating::{alternating_certain_answer, AlternatingOptions, AlternatingOutcome};
 pub use answer::{CertainAnswerEngine, EngineOptions, Strategy};
 pub use bounds::{node_width_bound_ward, node_width_bound_ward_pwl};
 pub use metrics::SpaceMeter;
 pub use resolution::{chunk_resolvents, mgcus, CqState, Resolvent};
 pub use rewrite::{rewrite_to_pwl_datalog, RewriteOptions, RewrittenQuery};
-pub use search::{linear_proof_search, SearchOptions, SearchOutcome, SearchStats};
+pub use search::{
+    linear_proof_search, warded_proof_search, SearchOptions, SearchOutcome, SearchStats,
+};
 pub use support::PositionSupport;

@@ -1,23 +1,40 @@
-//! The space-bounded decision procedure for `CQAns(WARD ∩ PWL)`
-//! (Section 4.3).
+//! The decision procedures for `CQAns(WARD ∩ PWL)` (Section 4.3,
+//! Theorem 4.8) and `CQAns(WARD)` (Theorem 4.9): one proof search.
 //!
-//! The paper's algorithm is non-deterministic: starting from the Boolean CQ
-//! `q(c̄)` it repeatedly guesses a resolution, decomposition or specialization
-//! step, keeping a single CQ of size at most `f_{WARD∩PWL}(q, Σ)`, and accepts
-//! when the current CQ is contained in the database. Determinising it is a
-//! reachability question over the (finite, polynomial in data complexity)
-//! space of canonical CQ states, which is exactly what this module does:
+//! The paper's algorithms are non-deterministic: starting from the Boolean CQ
+//! `q(c̄)` they repeatedly guess a resolution, decomposition or specialization
+//! step, keeping CQs of at most the node-width bound `f(q, Σ)` atoms, and
+//! accept a CQ contained in the database. This module determinises them as
+//! one breadth-first search over an AND/OR graph of canonical CQ states:
 //!
 //! * **resolution** uses the chunk-based resolvents of [`crate::resolution`];
 //! * **specialization + decomposition** are combined into a single
 //!   *match-and-drop* step — pick one atom, pick a homomorphism of that atom
 //!   into the database, drop the atom and propagate the grounding to the rest
-//!   of the state (see DESIGN.md for why this is sound and complete);
+//!   of the state;
 //! * **acceptance** holds when the whole remaining state maps
 //!   homomorphically into the database.
 //!
-//! The search memoises canonical states, so it terminates even when the
-//! underlying proof trees could be unboundedly deep.
+//! Each successor is a one-child alternative of its state. For `WARD`, proof
+//! trees also branch: a successor whose atoms fall into several variable-disjoint
+//! components (Definition 4.6: only variables tie atoms together) becomes an
+//! AND alternative whose children are the components. For `WARD ∩ PWL`
+//! nothing decomposes, so the first state popped that embeds into the
+//! database proves the query. The class also fixes the bound,
+//! `f_{WARD∩PWL}` or `f_{WARD}`.
+//!
+//! # Match-and-drop is sound and complete
+//!
+//! *Sound*: if `h` maps an atom `α` of `S` onto a fact of `D` and some `g`
+//! maps the successor `h(S ∖ {α})` into `chase(D, Σ)`, then `g ∘ h` maps `S`
+//! there. *Complete*: in a proof tree of `S`, an atom that is never resolved
+//! is mapped onto a fact by the homomorphism accepting its leaf. Instantiate
+//! the tree by that homomorphism on the atom's variables: it remains a proof
+//! tree of the same width (the chunk unifier of an instance is an instance of
+//! the chunk unifier, and the variables that became constants were shared
+//! with the atom, so they could not absorb existential variables before
+//! either), in which the atom is ground, in `D`, and needed by no step, so it
+//! can be dropped first.
 //!
 //! # Extensional selection rule
 //!
@@ -25,65 +42,53 @@
 //! contains an atom over an **extensional** predicate, exactly one such atom
 //! (the most constrained one) is selected, and the only successors explored
 //! are its database matches. This is complete, by the classic independence-
-//! of-the-selection-rule argument specialised to this calculus: an
-//! extensional atom can never be resolved away (extensional predicates do
-//! not occur in rule heads), so every accepting branch eventually drops it,
-//! and that drop commutes with every other step. Resolution steps commute
-//! because the chunk unifier of an instance state is an instance of the
-//! original chunk unifier — in particular the "existential variables unify
-//! only with non-shared variables" side-condition is insensitive to the
-//! reordering: a variable shared with the still-present extensional atom is
-//! shared either way, and after the drop it is a constant, which is equally
-//! forbidden. Without the selection rule the search explores every
+//! of-the-selection-rule argument: an extensional atom can never be resolved
+//! away (extensional predicates do not occur in rule heads), so every
+//! accepting branch eventually drops it, and by the argument above that drop
+//! can be made first. Without the selection rule the search explores every
 //! *interleaving* of extensional drops, an exponential redundancy that the
 //! canonical-state memo cannot collapse (the intermediate states genuinely
 //! differ); with it, negative decisions exhaust the reachable space quickly
 //! instead of enumerating drop permutations.
+//!
+//! # Why an empty worklist is a definitive "no"
+//!
+//! Each canonical state is expanded once, in FIFO order. Read the graph as
+//! Horn clauses: a state is proven if it embeds into `D`, or if all children
+//! of one of its alternatives are proven. The least fixpoint of these
+//! clauses is the set of states with a proof tree within the width bound.
+//! Proofs propagate upward as they are found, by the linear-time algorithm
+//! for Horn satisfiability: every alternative counts its pending children
+//! and proves its parent at zero. So when the worklist is empty the least
+//! fixpoint has been reached, and a query outside it has no proof tree of
+//! that width: at the full bound `f(q, Σ)`, a definitive rejection by
+//! Theorems 4.8 and 4.9. Cycles need no cut and no failure is cached; a
+//! state reachable from itself is just not proven unless another
+//! alternative proves it. States are canonical and hold at most `f(q, Σ)`
+//! atoms over finitely many constants, so the search terminates;
+//! `max_states` only bounds its cost.
 
-use crate::bounds::node_width_bound_ward_pwl;
+use crate::bounds::{node_width_bound_ward, node_width_bound_ward_pwl};
 use crate::metrics::SpaceMeter;
 use crate::resolution::{chunk_resolvents, CqState};
 use crate::support::PositionSupport;
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::ControlFlow;
 use vadalog_model::{
-    exists_homomorphism, ConjunctiveQuery, Database, JoinSpec, Matcher, Predicate, Program,
-    Substitution,
+    exists_homomorphism, Atom, ConjunctiveQuery, Database, JoinSpec, Matcher, Predicate, Program,
+    Substitution, Variable,
 };
-
-/// A state is dead if it contains an atom that can never be mapped into the
-/// chase: an atom over an *extensional* predicate with no homomorphism into
-/// the database on its own (extensional atoms can never be resolved away —
-/// their predicates never occur in rule heads), or any atom carrying a
-/// constant outside the [`PositionSupport`] of its position. Pruning such
-/// states is sound and keeps negative decisions cheap.
-fn has_dead_atom(
-    state: &CqState,
-    edb: &BTreeSet<Predicate>,
-    database: &Database,
-    support: &PositionSupport,
-) -> bool {
-    state.atoms().iter().any(|atom| {
-        !support.atom_satisfiable(atom)
-            || (edb.contains(&atom.predicate)
-                && !exists_homomorphism(
-                    std::slice::from_ref(atom),
-                    database.as_instance(),
-                    &Substitution::new(),
-                ))
-    })
-}
 
 /// Options controlling the proof search.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
-    /// Override for the node-width bound; `None` uses `f_{WARD∩PWL}(q, Σ)`.
+    /// Override for the node-width bound; `None` uses the bound of the
+    /// program class, `f_{WARD∩PWL}(q, Σ)` or `f_{WARD}(q, Σ)`.
     pub node_width: Option<usize>,
     /// Hard cap on explored states, to keep combined-complexity experiments
     /// bounded. When the cap is hit the outcome is [`SearchOutcome::Inconclusive`].
     pub max_states: usize,
-    /// Explore states breadth-first (`true`, default) or depth-first.
-    pub breadth_first: bool,
 }
 
 impl Default for SearchOptions {
@@ -91,7 +96,6 @@ impl Default for SearchOptions {
         SearchOptions {
             node_width: None,
             max_states: 2_000_000,
-            breadth_first: true,
         }
     }
 }
@@ -119,16 +123,17 @@ pub struct SearchStats {
 /// The outcome of a proof search.
 #[derive(Debug, Clone)]
 pub enum SearchOutcome {
-    /// A linear proof tree was found: the tuple is a certain answer.
+    /// A proof tree was found: the tuple is a certain answer.
     Accepted {
         /// Search statistics.
         stats: SearchStats,
-        /// Depth (number of operations) of the accepting branch.
+        /// Depth (number of operations from the root) of the state whose
+        /// acceptance completed the proof.
         depth: usize,
     },
     /// The full (bounded) state space was explored without acceptance: the
     /// tuple is not a certain answer (within the node-width bound, which is
-    /// sufficient for piece-wise linear warded programs).
+    /// sufficient for the program's class).
     Rejected {
         /// Search statistics.
         stats: SearchStats,
@@ -158,7 +163,7 @@ impl SearchOutcome {
 
 /// Runs the linear proof search for a Boolean query (output variables already
 /// instantiated — use [`ConjunctiveQuery::instantiate`]) against a single-head
-/// program and a database.
+/// warded, piece-wise linear program and a database.
 ///
 /// When no explicit node-width override is given the search **iteratively
 /// deepens the width**: a proof found within a smaller node-width is sound
@@ -172,196 +177,328 @@ pub fn linear_proof_search(
     boolean_query: &ConjunctiveQuery,
     options: SearchOptions,
 ) -> SearchOutcome {
-    let full_bound = options
-        .node_width
-        .unwrap_or_else(|| node_width_bound_ward_pwl(boolean_query, program))
-        .max(boolean_query.size());
-    // Width-independent machinery, shared by every deepening iteration.
-    let edb = program.extensional_predicates();
-    let support = PositionSupport::compute(program, database);
-    if options.node_width.is_some() {
-        return bounded_search(
-            program,
-            database,
-            boolean_query,
-            options,
-            full_bound,
-            &edb,
-            &support,
-        );
-    }
-    let mut width = boolean_query.size().max(2).min(full_bound);
-    loop {
-        let outcome = bounded_search(
-            program,
-            database,
-            boolean_query,
-            options,
-            width,
-            &edb,
-            &support,
-        );
-        match outcome {
-            SearchOutcome::Rejected { .. } if width < full_bound => {
-                width = (width * 2).min(full_bound);
-            }
-            _ => return outcome,
-        }
-    }
+    proof_search(program, database, boolean_query, options, false)
 }
 
-/// One run of the memoised BFS/DFS at a fixed node-width bound.
-fn bounded_search(
+/// The proof search for an arbitrary single-head warded program: as
+/// [`linear_proof_search`], but a state made of several variable-disjoint
+/// components is proven by proving each component, and the width bound is
+/// `f_{WARD}(q, Σ)`.
+pub fn warded_proof_search(
     program: &Program,
     database: &Database,
     boolean_query: &ConjunctiveQuery,
     options: SearchOptions,
-    bound: usize,
-    edb: &BTreeSet<Predicate>,
-    support: &PositionSupport,
 ) -> SearchOutcome {
-    let mut stats = SearchStats {
-        node_width_bound: bound,
-        ..SearchStats::default()
-    };
-    let mut meter = SpaceMeter::new();
-    let instance = database.as_instance();
+    proof_search(program, database, boolean_query, options, true)
+}
 
-    let initial = CqState::new(boolean_query.atoms.clone());
-    let mut visited: HashSet<CqState> = HashSet::new();
-    let mut frontier: VecDeque<(CqState, usize)> = VecDeque::new();
-    visited.insert(initial.clone());
-    if !has_dead_atom(&initial, edb, database, support) {
-        frontier.push_back((initial, 0));
+/// Width deepening around [`Search::run`]; `decompose` is set for `WARD`
+/// and clear for `WARD ∩ PWL`.
+fn proof_search(
+    program: &Program,
+    database: &Database,
+    boolean_query: &ConjunctiveQuery,
+    options: SearchOptions,
+    decompose: bool,
+) -> SearchOutcome {
+    let class_bound = if decompose {
+        node_width_bound_ward(boolean_query, program)
+    } else {
+        node_width_bound_ward_pwl(boolean_query, program)
+    };
+    let full_bound = options
+        .node_width
+        .unwrap_or(class_bound)
+        .max(boolean_query.size());
+    // Width-independent machinery, shared by every deepening iteration.
+    let edb = program.extensional_predicates();
+    let support = PositionSupport::compute(program, database);
+    let mut width = match options.node_width {
+        Some(_) => full_bound,
+        None => boolean_query.size().max(2).min(full_bound),
+    };
+    loop {
+        let search = Search {
+            program,
+            database,
+            edb: &edb,
+            support: &support,
+            decompose,
+            stats: SearchStats {
+                node_width_bound: width,
+                ..SearchStats::default()
+            },
+            nodes: Vec::new(),
+            index: HashMap::new(),
+            worklist: VecDeque::new(),
+            alternatives: Vec::new(),
+        };
+        match search.run(boolean_query, options.max_states) {
+            SearchOutcome::Rejected { .. } if width < full_bound => {
+                width = (width * 2).min(full_bound);
+            }
+            outcome => return outcome,
+        }
+    }
+}
+
+/// The goal's index in [`Search::nodes`]: not a state, but the node whose one
+/// alternative is the query's state, so that a query that decomposes is
+/// handled like any other successor.
+const GOAL: usize = 0;
+
+/// A node of the AND/OR graph: a canonical state, or the goal.
+#[derive(Default)]
+struct Node {
+    /// Operations from the query's state when the state was first reached.
+    depth: usize,
+    proven: bool,
+    /// The [`Search::alternatives`] this node is a pending child of.
+    watchers: Vec<usize>,
+}
+
+/// An alternative of `parent`, proving it when `pending` reaches zero.
+struct Alternative {
+    parent: usize,
+    /// Distinct children not yet proven.
+    pending: usize,
+}
+
+/// One breadth-first search at a fixed node-width bound.
+struct Search<'a> {
+    program: &'a Program,
+    database: &'a Database,
+    edb: &'a BTreeSet<Predicate>,
+    support: &'a PositionSupport,
+    decompose: bool,
+    stats: SearchStats,
+    nodes: Vec<Node>,
+    index: HashMap<CqState, usize>,
+    /// States discovered but not yet expanded, with their node indexes.
+    worklist: VecDeque<(CqState, usize)>,
+    alternatives: Vec<Alternative>,
+}
+
+impl Search<'_> {
+    /// Expands states in FIFO order until the goal is proven, the worklist
+    /// is empty (the least fixpoint, see the module docs) or `max_states`
+    /// states have been visited.
+    fn run(mut self, boolean_query: &ConjunctiveQuery, max_states: usize) -> SearchOutcome {
+        let mut meter = SpaceMeter::new();
+        self.nodes.push(Node::default());
+        self.successor(GOAL, CqState::new(boolean_query.atoms.clone()), 0);
+        while let Some((state, id)) = self.worklist.pop_front() {
+            self.stats.states_visited += 1;
+            self.stats.max_state_size = self.stats.max_state_size.max(state.size());
+            meter.set_live(state.size());
+            self.stats.peak_live_atoms = meter.peak();
+
+            // Acceptance: the whole remaining state embeds into the database.
+            if exists_homomorphism(
+                state.atoms(),
+                self.database.as_instance(),
+                &Substitution::new(),
+            ) {
+                self.prove(id);
+            } else if self.stats.states_visited >= max_states {
+                return SearchOutcome::Inconclusive { stats: self.stats };
+            } else {
+                self.expand(&state, id);
+            }
+            if self.nodes[GOAL].proven {
+                return SearchOutcome::Accepted {
+                    stats: self.stats,
+                    depth: self.nodes[id].depth,
+                };
+            }
+        }
+        SearchOutcome::Rejected { stats: self.stats }
     }
 
-    while let Some((state, depth)) = if options.breadth_first {
-        frontier.pop_front()
-    } else {
-        frontier.pop_back()
-    } {
-        stats.states_visited += 1;
-        stats.max_state_size = stats.max_state_size.max(state.size());
-        meter.set_live(state.size());
-
-        // Acceptance: the whole remaining state embeds into the database.
-        if exists_homomorphism(state.atoms(), instance, &Substitution::new()) {
-            stats.peak_live_atoms = meter.peak();
-            return SearchOutcome::Accepted { stats, depth };
-        }
-        if stats.states_visited >= options.max_states {
-            stats.peak_live_atoms = meter.peak();
-            return SearchOutcome::Inconclusive { stats };
-        }
-
+    /// Registers the alternatives of a state that does not embed into the
+    /// database.
+    fn expand(&mut self, state: &CqState, id: usize) {
+        let depth = self.nodes[id].depth + 1;
         // Selection rule (see module docs): while an extensional atom is
         // present, its database matches are the only successors explored.
-        if let Some(index) = select_extensional_atom(&state, edb, instance) {
-            drop_successors(
-                &state,
-                index,
-                instance,
-                database,
-                edb,
-                support,
-                &mut stats,
-                &mut visited,
-                &mut frontier,
-                depth,
-            );
-            continue;
+        if let Some(index) = self.select_extensional_atom(state) {
+            self.drop_successors(state, index, id, depth);
+            return;
         }
 
-        // Resolution successors.
-        for resolvent in chunk_resolvents(&state, program) {
-            if resolvent.state.size() > bound {
+        for resolvent in chunk_resolvents(state, self.program) {
+            if resolvent.state.size() > self.stats.node_width_bound {
                 continue;
             }
-            stats.resolution_steps += 1;
-            if has_dead_atom(&resolvent.state, edb, database, support) {
-                continue;
-            }
-            if visited.insert(resolvent.state.clone()) {
-                frontier.push_back((resolvent.state, depth + 1));
-            }
+            self.stats.resolution_steps += 1;
+            self.successor(id, resolvent.state, depth);
         }
 
-        // Match-and-drop successors for the remaining (intensional) atoms:
-        // ground one atom against the database and remove it, propagating the
-        // grounding. The kernel streams each match straight into successor
-        // construction — no substitution vector is materialised.
-        for index in 0..state.atoms().len() {
-            drop_successors(
-                &state,
-                index,
-                instance,
-                database,
-                edb,
-                support,
-                &mut stats,
-                &mut visited,
-                &mut frontier,
-                depth,
-            );
+        // Match-and-drop successors for the remaining (intensional) atoms.
+        for index in 0..state.size() {
+            self.drop_successors(state, index, id, depth);
         }
     }
 
-    stats.peak_live_atoms = meter.peak();
-    SearchOutcome::Rejected { stats }
-}
+    /// Adds every match-and-drop successor of `state.atoms()[index]`: ground
+    /// the atom against the database and remove it, propagating the
+    /// grounding. The kernel streams each match straight into successor
+    /// construction — no substitution vector is materialised.
+    fn drop_successors(&mut self, state: &CqState, index: usize, parent: usize, depth: usize) {
+        let database = self.database;
+        let spec = JoinSpec::compile(std::slice::from_ref(&state.atoms()[index]));
+        Matcher::new(&spec).for_each(database.as_instance(), |bindings| {
+            self.stats.drop_steps += 1;
+            let successor = state.drop_atom(index, &bindings.to_substitution());
+            self.successor(parent, successor, depth);
+            ControlFlow::Continue(())
+        });
+    }
 
-/// Picks the extensional atom with the fewest estimated database matches, if
-/// the state contains any extensional atom (the selection rule's choice).
-fn select_extensional_atom(
-    state: &CqState,
-    edb: &BTreeSet<Predicate>,
-    instance: &vadalog_model::Instance,
-) -> Option<usize> {
-    state
-        .atoms()
-        .iter()
-        .enumerate()
-        .filter(|(_, atom)| edb.contains(&atom.predicate))
-        .min_by_key(|(_, atom)| match instance.relation(atom.predicate) {
-            None => 0,
-            Some(rel) => atom
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| !t.is_var())
-                .map(|(pos, t)| rel.matching_count(pos, *t))
-                .min()
-                .unwrap_or_else(|| rel.len()),
-        })
-        .map(|(index, _)| index)
-}
-
-/// Pushes every match-and-drop successor of `state.atoms()[index]` that
-/// survives dead-branch pruning and the visited memo.
-#[allow(clippy::too_many_arguments)]
-fn drop_successors(
-    state: &CqState,
-    index: usize,
-    instance: &vadalog_model::Instance,
-    database: &Database,
-    edb: &BTreeSet<Predicate>,
-    support: &PositionSupport,
-    stats: &mut SearchStats,
-    visited: &mut HashSet<CqState>,
-    frontier: &mut VecDeque<(CqState, usize)>,
-    depth: usize,
-) {
-    let atom = &state.atoms()[index];
-    let spec = JoinSpec::compile(std::slice::from_ref(atom));
-    let mut matcher = Matcher::new(&spec);
-    matcher.for_each(instance, |bindings| {
-        stats.drop_steps += 1;
-        let successor = state.drop_atom(index, &bindings.to_substitution());
-        if !has_dead_atom(&successor, edb, database, support) && visited.insert(successor.clone()) {
-            frontier.push_back((successor, depth + 1));
+    /// Adds the alternative "prove `state`" to `parent`, unless the state is
+    /// dead. When decomposing, a state of several components is no node of
+    /// its own: its only alternative would be its components, so `parent`
+    /// gets that alternative directly. (Components of a live state are live:
+    /// deadness is per atom.)
+    fn successor(&mut self, parent: usize, state: CqState, depth: usize) {
+        if self.has_dead_atom(&state) {
+            return;
         }
-        ControlFlow::Continue(())
-    });
+        if !self.decompose {
+            // No alternative needs recording: see `prove`.
+            self.intern(state, depth);
+            return;
+        }
+        let mut children: Vec<usize> = match variable_components(state.atoms()) {
+            components if components.len() > 1 => components
+                .into_iter()
+                .map(|atoms| self.intern(CqState::new(atoms), depth))
+                .collect(),
+            _ => vec![self.intern(state, depth)],
+        };
+        children.sort_unstable();
+        children.dedup();
+        children.retain(|&child| !self.nodes[child].proven);
+        if children.is_empty() {
+            return self.prove(parent);
+        }
+        self.alternatives.push(Alternative {
+            parent,
+            pending: children.len(),
+        });
+        for child in children {
+            self.nodes[child].watchers.push(self.alternatives.len() - 1);
+        }
+    }
+
+    /// A state is dead if it contains an atom that can never be mapped into
+    /// the chase: an atom over an *extensional* predicate with no
+    /// homomorphism into the database on its own (extensional atoms can never
+    /// be resolved away — their predicates never occur in rule heads), or any
+    /// atom carrying a constant outside the [`PositionSupport`] of its
+    /// position. Pruning such states is sound and keeps negative decisions
+    /// cheap.
+    fn has_dead_atom(&self, state: &CqState) -> bool {
+        state.atoms().iter().any(|atom| {
+            !self.support.atom_satisfiable(atom)
+                || (self.edb.contains(&atom.predicate)
+                    && !exists_homomorphism(
+                        std::slice::from_ref(atom),
+                        self.database.as_instance(),
+                        &Substitution::new(),
+                    ))
+        })
+    }
+
+    /// Picks the extensional atom with the fewest estimated database matches,
+    /// if the state contains any extensional atom (the selection rule's
+    /// choice).
+    fn select_extensional_atom(&self, state: &CqState) -> Option<usize> {
+        let instance = self.database.as_instance();
+        state
+            .atoms()
+            .iter()
+            .enumerate()
+            .filter(|(_, atom)| self.edb.contains(&atom.predicate))
+            .min_by_key(|(_, atom)| match instance.relation(atom.predicate) {
+                None => 0,
+                Some(rel) => atom
+                    .terms
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, t)| !t.is_var())
+                    .map(|(pos, t)| rel.matching_count(pos, *t))
+                    .min()
+                    .unwrap_or_else(|| rel.len()),
+            })
+            .map(|(index, _)| index)
+    }
+
+    /// The node index of `state`, adding it to the graph and the worklist
+    /// when it is new.
+    fn intern(&mut self, state: CqState, depth: usize) -> usize {
+        match self.index.entry(state) {
+            Entry::Occupied(entry) => *entry.get(),
+            Entry::Vacant(entry) => {
+                let id = self.nodes.len();
+                self.nodes.push(Node {
+                    depth,
+                    ..Node::default()
+                });
+                self.worklist.push_back((entry.key().clone(), id));
+                entry.insert(id);
+                id
+            }
+        }
+    }
+
+    /// Marks `id` proven and propagates the proof to every alternative that
+    /// waits for it, transitively. Without decomposition every alternative
+    /// has one child and every node was reached from the goal, so any proof
+    /// proves the goal at once; skipping the bookkeeping for that case keeps
+    /// the linear search as cheap as a plain visited-set BFS.
+    fn prove(&mut self, id: usize) {
+        if !self.decompose {
+            self.nodes[GOAL].proven = true;
+            return;
+        }
+        let mut proven = vec![id];
+        while let Some(id) = proven.pop() {
+            let node = &mut self.nodes[id];
+            if node.proven {
+                continue;
+            }
+            node.proven = true;
+            for alternative in std::mem::take(&mut node.watchers) {
+                let alternative = &mut self.alternatives[alternative];
+                alternative.pending -= 1;
+                if alternative.pending == 0 {
+                    proven.push(alternative.parent);
+                }
+            }
+        }
+    }
+}
+
+/// Splits a set of atoms into connected components under the
+/// "shares a variable" relation.
+fn variable_components(atoms: &[Atom]) -> Vec<Vec<Atom>> {
+    let mut components: Vec<(BTreeSet<Variable>, Vec<Atom>)> = Vec::new();
+    for atom in atoms {
+        // The atom joins, and merges, every component it shares a variable with.
+        let mut joined = (BTreeSet::from_iter(atom.variables()), vec![atom.clone()]);
+        components.retain_mut(|(variables, atoms)| {
+            let disjoint = variables.is_disjoint(&joined.0);
+            if !disjoint {
+                joined.0.append(variables);
+                joined.1.append(atoms);
+            }
+            disjoint
+        });
+        components.push(joined);
+    }
+    components.into_iter().map(|(_, atoms)| atoms).collect()
 }
 
 #[cfg(test)]
@@ -371,15 +508,42 @@ mod tests {
     use vadalog_model::parser::{parse, parse_query, parse_rules};
     use vadalog_model::Symbol;
 
-    fn decide(rules: &str, facts: &str, query: &str, tuple: &[&str]) -> SearchOutcome {
+    type SearchFn = fn(&Program, &Database, &ConjunctiveQuery, SearchOptions) -> SearchOutcome;
+
+    const NONLINEAR_TC: &str = "t(X, Y) :- edge(X, Y).\n t(X, Z) :- t(X, Y), t(Y, Z).";
+
+    fn decide_with(
+        search: SearchFn,
+        rules: &str,
+        database: &Database,
+        query: &str,
+        tuple: &[&str],
+    ) -> SearchOutcome {
         let program = normalize_single_head(&parse_rules(rules).unwrap())
             .unwrap()
             .program;
-        let database = parse(facts).unwrap().database;
         let q = parse_query(query).unwrap();
         let symbols: Vec<Symbol> = tuple.iter().map(|s| Symbol::new(s)).collect();
         let boolean = q.instantiate(&symbols).expect("arity matches");
-        linear_proof_search(&program, &database, &boolean, SearchOptions::default())
+        search(&program, database, &boolean, SearchOptions::default())
+    }
+
+    fn decide(rules: &str, facts: &str, query: &str, tuple: &[&str]) -> SearchOutcome {
+        let database = parse(facts).unwrap().database;
+        decide_with(linear_proof_search, rules, &database, query, tuple)
+    }
+
+    fn decide_warded(rules: &str, facts: &str, query: &str, tuple: &[&str]) -> SearchOutcome {
+        let database = parse(facts).unwrap().database;
+        decide_with(warded_proof_search, rules, &database, query, tuple)
+    }
+
+    /// The chain `n0 → n1 → … → n_len` of `edge` facts.
+    fn chain(len: usize) -> Database {
+        let facts: String = (0..len)
+            .map(|i| format!("edge(n{i}, n{}). ", i + 1))
+            .collect();
+        parse(&facts).unwrap().database
     }
 
     #[test]
@@ -488,5 +652,103 @@ mod tests {
             },
         );
         assert!(matches!(outcome, SearchOutcome::Inconclusive { .. }));
+    }
+
+    #[test]
+    fn handles_non_pwl_recursion() {
+        // Non-linear transitive closure is warded but not PWL: the warded
+        // search must still answer correctly.
+        let facts = "edge(a, b). edge(b, c). edge(c, d).";
+        let query = "?(X, Y) :- t(X, Y).";
+        assert!(decide_warded(NONLINEAR_TC, facts, query, &["a", "d"]).is_accepted());
+        assert!(!decide_warded(NONLINEAR_TC, facts, query, &["d", "a"]).is_accepted());
+    }
+
+    #[test]
+    fn decomposition_splits_disconnected_queries() {
+        let facts = "edge(a, b). edge(b, c). edge(x, y).";
+        // Two independent reachability questions in one Boolean query.
+        let outcome = decide_warded(NONLINEAR_TC, facts, "? :- t(a, c), t(x, y).", &[]);
+        assert!(outcome.is_accepted());
+        let negative = decide_warded(NONLINEAR_TC, facts, "? :- t(a, c), t(y, x).", &[]);
+        assert!(!negative.is_accepted());
+    }
+
+    #[test]
+    fn existentials_are_supported() {
+        let rules = "r(X, Z) :- p(X).\n p(Y) :- r(X, Y).";
+        let facts = "p(a).";
+        assert!(decide_warded(rules, facts, "? :- r(a, Y), r(Y, W).", &[]).is_accepted());
+        assert!(!decide_warded(rules, facts, "?(Y) :- r(a, Y).", &["a"]).is_accepted());
+    }
+
+    #[test]
+    fn same_generation_style_program() {
+        // The classic same-generation program evaluated on a small tree.
+        let rules = "sg(X, Y) :- flat(X, Y).\n sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).";
+        let facts = "up(a, p). up(b, p). flat(p, p). down(p, a). down(p, b).";
+        let query = "?(X, Y) :- sg(X, Y).";
+        assert!(decide_warded(rules, facts, query, &["a", "b"]).is_accepted());
+        assert!(decide_warded(rules, facts, query, &["a", "a"]).is_accepted());
+        assert!(!decide_warded(rules, facts, query, &["p", "a"]).is_accepted());
+    }
+
+    #[test]
+    fn variable_components_group_by_shared_variables() {
+        let atoms = vec![
+            Atom::new(
+                "r",
+                vec![
+                    vadalog_model::Term::variable("X"),
+                    vadalog_model::Term::variable("Y"),
+                ],
+            ),
+            Atom::new("s", vec![vadalog_model::Term::variable("Y")]),
+            Atom::new("t", vec![vadalog_model::Term::variable("Z")]),
+            Atom::new("u", vec![vadalog_model::Term::constant("c")]),
+        ];
+        let components = variable_components(&atoms);
+        assert_eq!(components.len(), 3);
+        let sizes: Vec<usize> = {
+            let mut s: Vec<usize> = components.iter().map(|c| c.len()).collect();
+            s.sort();
+            s
+        };
+        assert_eq!(sizes, vec![1, 1, 2]);
+    }
+
+    #[test]
+    fn warded_negatives_end_in_the_least_fixpoint_not_the_cap() {
+        // n2 has a predecessor, so no dead atom cuts the search short: the
+        // negative is only decided by exhausting the reachable states.
+        let outcome = decide_with(
+            warded_proof_search,
+            NONLINEAR_TC,
+            &chain(12),
+            "? :- t(n5, n2).",
+            &[],
+        );
+        assert!(matches!(outcome, SearchOutcome::Rejected { .. }));
+        assert!(outcome.stats().states_visited < 20_000);
+    }
+
+    #[test]
+    fn warded_search_runs_in_constant_stack_on_long_chains() {
+        let decided = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                let outcome = decide_with(
+                    warded_proof_search,
+                    NONLINEAR_TC,
+                    &chain(100),
+                    "? :- t(n3, n60).",
+                    &[],
+                );
+                outcome.is_accepted()
+            })
+            .unwrap()
+            .join()
+            .expect("the search does not overflow a 256 KiB stack");
+        assert!(decided);
     }
 }

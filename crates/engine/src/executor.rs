@@ -14,7 +14,7 @@
 use crate::optimizer::{optimize, EngineConfig};
 use std::collections::BTreeSet;
 use vadalog_analysis::stratify::Stratum;
-use vadalog_chase::{ChaseConfig, ChaseRule, ChaseVariant, Saturation};
+use vadalog_chase::{ChaseConfig, ChaseRule, Saturation};
 use vadalog_model::{ConjunctiveQuery, Database, Instance, Program, Symbol};
 
 /// Counters describing an evaluation run: the chase's own, summed over the
@@ -81,12 +81,7 @@ impl Reasoner {
     pub fn run(&self, database: &Database) -> ReasonerResult {
         let mut chase = Saturation::new(
             database,
-            ChaseConfig {
-                variant: ChaseVariant::Restricted,
-                policy: self.config.termination,
-                record_provenance: false,
-                threads: self.config.threads,
-            },
+            ChaseConfig::restricted(self.config.termination).with_threads(self.config.threads),
         );
         for pass in &self.passes {
             chase.saturate(pass);

@@ -118,10 +118,7 @@ mod tests {
         let red = reduction(&system);
         let engine = ChaseEngine::new(
             red.program.clone(),
-            ChaseConfig {
-                record_provenance: false,
-                ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4))
-            },
+            ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4)),
         );
         let result = engine.run(&red.database);
         assert!(result.boolean_answer(&red.query));
@@ -134,10 +131,7 @@ mod tests {
         let red = reduction(&system);
         let engine = ChaseEngine::new(
             red.program.clone(),
-            ChaseConfig {
-                record_provenance: false,
-                ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4))
-            },
+            ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4)),
         );
         let result = engine.run(&red.database);
         assert!(!result.boolean_answer(&red.query));

@@ -46,10 +46,7 @@ fn main() {
         // refute unsolvable ones — that asymmetry is the undecidability.
         let chase = ChaseEngine::new(
             red.program.clone(),
-            ChaseConfig {
-                record_provenance: false,
-                ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4))
-            },
+            ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4)),
         );
         let result = chase.run(&red.database);
         println!(

@@ -102,10 +102,7 @@ fn owl_scenario_cross_engine_agreement() {
     let reasoner = Reasoner::new(&program, EngineConfig::default());
     let chase = ChaseEngine::new(
         program,
-        ChaseConfig {
-            record_provenance: false,
-            ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4))
-        },
+        ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4)),
     );
 
     let query = parse_query("?(X, C) :- type(X, C).").unwrap();
@@ -126,10 +123,7 @@ fn data_exchange_scenarios_materialise_consistently() {
     let reasoner = Reasoner::new(&scenario.program, EngineConfig::default());
     let chase = ChaseEngine::new(
         scenario.program.clone(),
-        ChaseConfig {
-            record_provenance: false,
-            ..ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4))
-        },
+        ChaseConfig::restricted(TerminationPolicy::MaxNullDepth(4)),
     );
     let a = reasoner.answers(&scenario.database, &query);
     let b = chase.certain_answers(&scenario.database, &query);

@@ -10,7 +10,8 @@ use vadalog::analysis::pwl::{is_intensionally_linear, is_piecewise_linear};
 use vadalog::analysis::wardedness::is_warded;
 use vadalog::benchgen::graphs::random_graph;
 use vadalog::core::{
-    linear_proof_search, node_width_bound_ward_pwl, CertainAnswerEngine, SearchOptions,
+    linear_proof_search, node_width_bound_ward, node_width_bound_ward_pwl, warded_proof_search,
+    CertainAnswerEngine, SearchOptions,
 };
 use vadalog::datalog::DatalogEngine;
 use vadalog::model::parser::{parse, parse_query, parse_rules};
@@ -59,6 +60,63 @@ fn theorem_4_8_node_width_bound_is_respected_in_practice() {
     let outcome = linear_proof_search(&program, &db, &boolean, SearchOptions::default());
     assert!(outcome.is_accepted());
     assert!(outcome.stats().max_state_size <= bound);
+}
+
+#[test]
+fn theorem_4_9_node_width_bound_is_respected_in_practice() {
+    // The non-linear closure and same generation, linear and not
+    // (Theorem 4.9 covers every warded program, piece-wise linear or not),
+    // decided on every pair of their domains against the materialised truth.
+    let scenarios = [
+        (
+            "t(X, Y) :- edge(X, Y).\n t(X, Z) :- t(X, Y), t(Y, Z).",
+            "edge(a, b). edge(b, c). edge(c, d). edge(d, e).",
+            "?(X, Y) :- t(X, Y).",
+        ),
+        (
+            "sg(X, Y) :- flat(X, Y).\n sg(X, Y) :- up(X, X1), sg(X1, Y1), down(Y1, Y).",
+            "up(a, p). up(b, p). up(c, q). up(p, r). up(q, r). flat(r, r).\n\
+             down(p, a). down(p, b). down(q, c). down(r, p). down(r, q).",
+            "?(X, Y) :- sg(X, Y).",
+        ),
+        (
+            "sg(X, Y) :- flat(X, Y).\n sg(X, Y) :- up(X, X1), sg(X1, Y1), sg(Y1, Y).",
+            "up(a, p). up(b, p). up(c, q). up(p, r). up(q, r). flat(r, r). flat(p, q).",
+            "?(X, Y) :- sg(X, Y).",
+        ),
+    ];
+    for (rules, facts, query) in scenarios {
+        let program = parse_rules(rules).unwrap();
+        assert!(is_warded(&program));
+        let db = parse(facts).unwrap().database;
+        let query = parse_query(query).unwrap();
+        let bound = node_width_bound_ward(&query, &program);
+        let truth = DatalogEngine::new(program.clone())
+            .unwrap()
+            .answers(&db, &query);
+        let domain = db.domain();
+        for a in &domain {
+            for b in &domain {
+                let tuple = [*a, *b];
+                let boolean = query.instantiate(&tuple).unwrap();
+                let outcome =
+                    warded_proof_search(&program, &db, &boolean, SearchOptions::default());
+                let stats = outcome.stats();
+                assert_eq!(
+                    outcome.is_accepted(),
+                    truth.contains(&tuple[..]),
+                    "{boolean}"
+                );
+                assert!(stats.max_state_size <= stats.node_width_bound, "{boolean}");
+                // Width deepening stops below f_WARD only on a proof; a
+                // rejection is only ever made at the bound itself.
+                assert!(stats.node_width_bound <= bound, "{boolean}");
+                if !outcome.is_accepted() {
+                    assert_eq!(stats.node_width_bound, bound, "{boolean}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

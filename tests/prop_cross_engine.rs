@@ -10,7 +10,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use vadalog::benchgen::{data_exchange_scenario, owl_database, owl_program};
 use vadalog::chase::{ChaseConfig, ChaseEngine, TerminationPolicy};
-use vadalog::core::CertainAnswerEngine;
+use vadalog::core::{
+    linear_proof_search, warded_proof_search, CertainAnswerEngine, SearchOptions, SearchOutcome,
+};
 use vadalog::datalog::DatalogEngine;
 use vadalog::engine::{EngineConfig, JoinOrdering, Reasoner, ReasonerResult};
 use vadalog::model::parser::{parse_query, parse_rules};
@@ -203,33 +205,70 @@ fn existential_programs_agree_across_engines_configurations_and_variants() {
     }
 }
 
-/// The proof-tree decision procedure agrees with the materialised closure
-/// on randomly chosen pairs (both positive and negative).
+/// The proof-tree decision procedure agrees with the materialised closure,
+/// for every head predicate and every pair of the 8-node domain, on the
+/// transitive closure and on random Datalog programs. Their chain rules make
+/// some programs non-PWL, so both program classes of the one search run. A
+/// search never gives up, and on the PWL programs the warded entry (the
+/// search with decomposition) agrees with the linear one.
 #[test]
 fn decision_procedure_matches_ground_truth() {
     let mut rng = StdRng::seed_from_u64(32);
-    for _ in 0..8 {
+    for case in 0..8 {
         let db = arb_database(&mut rng);
-        let probe_a = rng.gen_range(0..8u32);
-        let probe_b = rng.gen_range(0..8u32);
-        if db.is_empty() {
-            continue;
+        let random_program = arb_program(&mut rng);
+        for program in [tc_program(), random_program] {
+            let engine = CertainAnswerEngine::with_defaults(program.clone()).unwrap();
+            let pwl = engine.is_piecewise_linear();
+            let datalog = DatalogEngine::new(program.clone()).unwrap();
+            for query in head_queries(&program) {
+                let truth = datalog.answers(&db, &query);
+                for (a, b) in (0..8).flat_map(|a| (0..8).map(move |b| (a, b))) {
+                    let tuple = [Symbol::new(&format!("n{a}")), Symbol::new(&format!("n{b}"))];
+                    let boolean = query.instantiate(&tuple).unwrap();
+                    let decide = |search: SearchFn| {
+                        let outcome = search(
+                            engine.normalized_program(),
+                            &db,
+                            &boolean,
+                            SearchOptions::default(),
+                        );
+                        assert!(
+                            !matches!(outcome, SearchOutcome::Inconclusive { .. }),
+                            "case {case}: {boolean} gave up\n{program}"
+                        );
+                        outcome.is_accepted()
+                    };
+                    let decided = if pwl {
+                        decide(linear_proof_search)
+                    } else {
+                        decide(warded_proof_search)
+                    };
+                    assert_eq!(
+                        decided,
+                        truth.contains(&tuple[..]),
+                        "case {case}: {boolean} (PWL: {pwl})\n{program}"
+                    );
+                    assert_eq!(
+                        engine.is_certain_answer(&db, &query, &tuple).unwrap(),
+                        decided,
+                        "case {case}: the engine routes {boolean} to another search"
+                    );
+                    if pwl {
+                        assert_eq!(
+                            decide(warded_proof_search),
+                            decided,
+                            "case {case}: the warded entry disagrees on {boolean}\n{program}"
+                        );
+                    }
+                }
+            }
         }
-        let program = tc_program();
-        let query = parse_query("?(X, Y) :- t(X, Y).").unwrap();
-        let truth = DatalogEngine::new(program.clone())
-            .unwrap()
-            .answers(&db, &query);
-
-        let engine = CertainAnswerEngine::with_defaults(program).unwrap();
-        let tuple = vec![
-            Symbol::new(&format!("n{probe_a}")),
-            Symbol::new(&format!("n{probe_b}")),
-        ];
-        let decided = engine.is_certain_answer(&db, &query, &tuple).unwrap();
-        assert_eq!(decided, truth.contains(&tuple));
     }
 }
+
+/// The signature shared by the two entries of the proof search.
+type SearchFn = fn(&Program, &Database, &ConjunctiveQuery, SearchOptions) -> SearchOutcome;
 
 /// A randomly generated *plain Datalog* program over binary predicates
 /// `p0..p3` seeded from the `edge` EDB relation: every program starts with
