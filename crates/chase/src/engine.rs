@@ -26,24 +26,47 @@
 //! reasoner's PWL-aware ordering puts the recursive atom there) and later
 //! rounds drive each position over only the rows its relation gained; a
 //! trigger is detected in the first round in which all its rows exist, and
-//! never again. The two loops differ in the head action only: this one
-//! applies triggers sequentially (below), the Datalog one emits packed rows.
+//! never again.
 //!
 //! The (rule, driven position) tasks of a round run on
 //! [`ChaseConfig::threads`] scoped workers via
 //! [`vadalog_model::parallel::run_tasks`]; tasks, plans and driven ranges
-//! depend only on the frozen instance.
+//! depend only on the frozen instance. A task ends in one of two head
+//! actions, chosen per rule:
 //!
-//! # Trigger order, and why duplicates are harmless
+//! * **Packed rows**, the Datalog crate's head action, for a rule whose head
+//!   is one atom without existential variables, under the restricted chase
+//!   without provenance. The worker emits each match's head row through the
+//!   rule's [`RowTemplate`] into a [`DerivationBatch`] and drops the rows the
+//!   frozen instance already holds
+//!   ([`DerivationBatch::prededup_against`]); no trigger is collected.
+//! * **Triggers**, for every other rule (existential or multi-atom heads),
+//!   under the oblivious chase (its fired set keys on body rows) and when
+//!   provenance is recorded (a record names the body images). The worker
+//!   collects each match as a slot-value tuple, and application runs the
+//!   satisfaction check, null invention and recording per trigger.
 //!
-//! Triggers apply sequentially in (rule, driven position, driven row, plan)
-//! order — null invention, the restricted chase's satisfaction check, the
-//! termination policy and provenance recording all happen in this phase, so
-//! results and null ids are identical for every thread count. A trigger
-//! whose rows are new at two body positions is detected twice in its round.
-//! For the restricted chase the second copy finds its head satisfied by the
-//! first; the oblivious chase keys its fired set on the matched body rows
-//! (the driven row included), which does not depend on which position drove.
+//! # Trigger order, and why the head action changes nothing
+//!
+//! Application is sequential in (rule, driven position) task order, and
+//! within a task in (driven row, plan) order — null invention, the
+//! restricted chase's satisfaction check, the termination policy and
+//! provenance recording all happen in this phase, so results and null ids
+//! are identical for every thread count. Tasks are never sharded, so a
+//! batch's rows are in trigger order, and a batch is inserted at its task's
+//! place in that sequence. A single-atom full head is satisfied exactly when
+//! its row is present, so inserting a batch row by row with dedup fires
+//! exactly the triggers one-by-one application would fire, in the same
+//! order: the same rows get the same ids, a later existential task of the
+//! round sees the same instance (so null ids do not move), and `steps` —
+//! one per newly inserted row — counts the same fired triggers. The policy
+//! is consulted before each new row as before each fired trigger.
+//!
+//! A trigger whose rows are new at two body positions is detected twice in
+//! its round. For the restricted chase the second copy finds its head
+//! satisfied by the first (or its row already inserted); the oblivious chase
+//! keys its fired set on the matched body rows (the driven row included),
+//! which does not depend on which position drove.
 
 use crate::provenance::{ChaseGraph, DerivationRecord};
 use crate::termination::TerminationPolicy;
@@ -51,8 +74,9 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::ops::ControlFlow;
 use vadalog_model::parallel;
 use vadalog_model::{
-    Atom, ConjunctiveQuery, Database, DrivenRange, DrivenRows, Instance, JoinPlan, JoinSpec,
-    Matcher, NullId, Program, RowId, Symbol, Term, Tgd, Variable,
+    Atom, Bindings, ConjunctiveQuery, Database, DerivationBatch, DrivenRange, DrivenRows, Instance,
+    JoinPlan, JoinSpec, JoinStats, Matcher, NullId, Predicate, Program, Relation, RowId,
+    RowTemplate, Symbol, Term, Tgd, Variable,
 };
 
 /// Which chase variant to run.
@@ -128,7 +152,9 @@ impl ChaseConfig {
 /// (E6).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ChaseStats {
-    /// Number of applied triggers (chase steps).
+    /// Number of applied triggers (chase steps). Under the packed head
+    /// action a step is one newly inserted head row, which is the trigger
+    /// one-by-one application would have fired for it.
     pub steps: usize,
     /// Number of invented labelled nulls.
     pub nulls_created: usize,
@@ -145,7 +171,11 @@ pub struct ChaseStats {
     /// Candidate rows inspected by trigger detection: driven rows plus the
     /// rows the join kernel examined for the remaining body atoms.
     pub join_probes: usize,
-    /// Number of candidate triggers examined.
+    /// Number of candidate triggers examined: every match trigger detection
+    /// found, whether its head was then found satisfied or not. Under the
+    /// packed head action a task's matches count in full when its batch is
+    /// applied, so a chase the policy stops inside a batch counts the rest
+    /// of that batch too.
     pub triggers_examined: usize,
     /// Triggers suppressed by a null-depth bound.
     pub suppressed_triggers: usize,
@@ -178,16 +208,27 @@ pub struct ChaseRule {
     body: JoinSpec,
     head: JoinSpec,
     existentials: Vec<Variable>,
+    /// A full single-atom head as a packed row template over the body spec
+    /// (`None` for existential and multi-atom heads): the head action the
+    /// restricted chase takes without provenance (see the module docs).
+    full_head: Option<(Predicate, RowTemplate)>,
 }
 
 impl ChaseRule {
     /// Compiles `tgd`, the rule at `tgd_index` of its program.
     pub fn new(tgd_index: usize, tgd: &Tgd) -> ChaseRule {
+        let body = JoinSpec::compile(&tgd.body);
+        let existentials: Vec<Variable> = tgd.existential_variables().into_iter().collect();
+        let full_head = match tgd.head.as_slice() {
+            [head] if existentials.is_empty() => Some((head.predicate, body.row_template(head))),
+            _ => None,
+        };
         ChaseRule {
             tgd_index,
-            body: JoinSpec::compile(&tgd.body),
             head: JoinSpec::compile(&tgd.head),
-            existentials: tgd.existential_variables().into_iter().collect(),
+            body,
+            existentials,
+            full_head,
             tgd: tgd.clone(),
         }
     }
@@ -207,6 +248,39 @@ impl ChaseRule {
 struct Trigger {
     values: Vec<Term>,
     rows: Vec<RowId>,
+}
+
+/// What one detection task hands the application phase.
+enum Detected {
+    /// The task's triggers, applied one by one ([`Saturation::apply`]).
+    Triggers(Vec<Trigger>),
+    /// The head rows of a rule on the packed head action
+    /// ([`Saturation::apply_rows`]).
+    Rows(DerivationBatch),
+}
+
+/// Drives the rows of `task` through `matcher` against the frozen
+/// `instance`, calling `on_match` with every full match and its driven row,
+/// and returns the kernel's counters.
+fn drive_task(
+    matcher: &mut Matcher<'_>,
+    instance: &Instance,
+    task: &DrivenRange,
+    rel: &Relation,
+    mut on_match: impl FnMut(&Bindings<'_>, RowId),
+) -> JoinStats {
+    let mut stats = JoinStats::default();
+    for row_id in task.lo..task.hi {
+        matcher.clear();
+        if !matcher.prematch(task.pos, rel.row(row_id)) {
+            continue;
+        }
+        stats.absorb(matcher.for_each(instance, |bindings| {
+            on_match(bindings, row_id);
+            ControlFlow::Continue(())
+        }));
+    }
+    stats
 }
 
 /// A chase in progress: everything that must survive from one
@@ -262,23 +336,36 @@ impl Saturation {
             self.stats.rounds += 1;
             let detected = self.detect(rules, &tasks);
             self.stats.join_probes += detected.iter().map(|(_, probes)| probes).sum::<usize>();
-            for (task, (triggers, _)) in tasks.iter().zip(detected) {
-                let head_matcher = &mut head_matchers[task.rule];
-                for trigger in triggers {
-                    if self
-                        .apply(&rules[task.rule], head_matcher, trigger)
-                        .is_break()
-                    {
-                        return;
+            for (task, (detected, _)) in tasks.iter().zip(detected) {
+                let flow = match detected {
+                    Detected::Rows(batch) => self.apply_rows(&batch),
+                    Detected::Triggers(triggers) => {
+                        let head_matcher = &mut head_matchers[task.rule];
+                        triggers.into_iter().try_for_each(|trigger| {
+                            self.apply(&rules[task.rule], head_matcher, trigger)
+                        })
                     }
+                };
+                if flow.is_break() {
+                    return;
                 }
             }
         }
     }
 
-    /// Trigger detection: every task's triggers and probe count against the
+    /// The packed head action's template for `rule`, if this chase takes
+    /// that action for it: a full single-atom head under the restricted
+    /// chase without provenance.
+    fn packed_head<'r>(&self, rule: &'r ChaseRule) -> Option<&'r (Predicate, RowTemplate)> {
+        let packed =
+            self.config.variant == ChaseVariant::Restricted && !self.config.record_provenance;
+        rule.full_head.as_ref().filter(|_| packed)
+    }
+
+    /// Trigger detection: every task's triggers (or, for a rule on the
+    /// packed head action, its new head rows) and probe count against the
     /// frozen instance, in task order.
-    fn detect(&self, rules: &[ChaseRule], tasks: &[DrivenRange]) -> Vec<(Vec<Trigger>, usize)> {
+    fn detect(&self, rules: &[ChaseRule], tasks: &[DrivenRange]) -> Vec<(Detected, usize)> {
         let instance = &self.instance;
         let keep_rows = self.config.variant == ChaseVariant::Oblivious;
         let plans: Vec<JoinPlan> = tasks
@@ -287,20 +374,24 @@ impl Saturation {
             .collect();
         parallel::run_tasks(self.config.threads, tasks.len(), |task_index| {
             let task = &tasks[task_index];
-            let body = &rules[task.rule].body;
+            let rule = &rules[task.rule];
+            let body = &rule.body;
             let rel = body
                 .atom_relation(instance, task.pos)
                 .expect("a driven range is non-empty, so its relation exists");
-            let mut triggers = Vec::new();
-            let mut probes = (task.hi - task.lo) as usize;
             let mut matcher = Matcher::new(body);
             matcher.set_plan(Some(&plans[task_index]));
-            for row_id in task.lo..task.hi {
-                matcher.clear();
-                if !matcher.prematch(task.pos, rel.row(row_id)) {
-                    continue;
-                }
-                let run = matcher.for_each(instance, |bindings| {
+            let (detected, run) = if let Some((predicate, template)) = self.packed_head(rule) {
+                let mut batch = DerivationBatch::new(*predicate, template.arity());
+                let run = drive_task(&mut matcher, instance, task, rel, |bindings, _| {
+                    bindings.emit(template, &mut batch.rows)
+                });
+                batch.matches = run.matches;
+                batch.prededup_against(instance);
+                (Detected::Rows(batch), run)
+            } else {
+                let mut triggers = Vec::new();
+                let run = drive_task(&mut matcher, instance, task, rel, |bindings, row_id| {
                     let mut rows = Vec::new();
                     if keep_rows {
                         rows.extend_from_slice(bindings.matched_rows());
@@ -317,18 +408,62 @@ impl Saturation {
                             .collect(),
                         rows,
                     });
-                    ControlFlow::Continue(())
                 });
-                probes += run.probes as usize;
-            }
-            (triggers, probes)
+                (Detected::Triggers(triggers), run)
+            };
+            (detected, (task.hi - task.lo) as usize + run.probes as usize)
         })
+    }
+
+    /// The packed head action: inserts a task's head rows (trigger order,
+    /// minus the rows the frozen instance already held) where its triggers
+    /// would have fired. A full single-atom head is satisfied exactly when
+    /// its row is present, so the rows that are new on insert are exactly
+    /// the triggers [`Saturation::apply`] would fire, one step each, and
+    /// the policy is consulted before each of them as `apply` consults it.
+    /// All of the task's matches count as examined, also when the policy
+    /// stops the chase inside the batch.
+    fn apply_rows(&mut self, batch: &DerivationBatch) -> ControlFlow<()> {
+        self.stats.triggers_examined += batch.matches as usize;
+        let (predicate, arity) = (batch.predicate, batch.arity);
+        // A 0-ary head has one row, the empty one, once anything matched.
+        let count = match arity {
+            0 => usize::from(batch.matches > 0),
+            _ => batch.rows.len() / arity,
+        };
+        for row in (0..count).map(|i| &batch.rows[i * arity..(i + 1) * arity]) {
+            if !self
+                .config
+                .policy
+                .allows_step(self.stats.steps, self.stats.nulls_created)
+            {
+                let satisfied = self
+                    .instance
+                    .relation(predicate)
+                    .is_some_and(|rel| rel.contains_packed_row(row));
+                if satisfied {
+                    continue;
+                }
+                self.completed = false;
+                return ControlFlow::Break(());
+            }
+            if self
+                .instance
+                .insert_packed(predicate, row)
+                .expect("a derived row is ground and within capacity")
+            {
+                self.stats.derived_atoms += 1;
+                self.stats.steps += 1;
+            }
+        }
+        ControlFlow::Continue(())
     }
 
     /// Trigger application: fires `trigger` unless it already fired
     /// (oblivious), its head is already satisfied (restricted) or the
     /// termination policy forbids it. `Break` means the policy stopped the
-    /// whole chase. This is the only place the policy is consulted.
+    /// whole chase. The policy is consulted here and in
+    /// [`Saturation::apply_rows`] only.
     fn apply(
         &mut self,
         rule: &ChaseRule,
@@ -673,6 +808,168 @@ mod tests {
                 sequential.instance.row_layout()
             );
         }
+    }
+
+    const TC: &str = "t(X, Y) :- edge(X, Y).\n t(X, Z) :- edge(X, Y), t(Y, Z).";
+
+    fn chain(edges: usize) -> String {
+        (0..edges)
+            .map(|i| format!("edge(n{i}, n{}).\n", i + 1))
+            .collect()
+    }
+
+    /// Runs `rules` restricted under `policy` twice: as configured, where a
+    /// full single-atom head takes the packed head action, and with
+    /// provenance on, where every trigger goes through `apply`. The two must
+    /// be the same chase; the packed run is returned.
+    fn assert_head_actions_agree(
+        rules: &str,
+        facts: &str,
+        policy: TerminationPolicy,
+    ) -> ChaseResult {
+        let packed = run_chase(rules, facts, ChaseConfig::restricted(policy));
+        let traced = run_chase(
+            rules,
+            facts,
+            ChaseConfig {
+                record_provenance: true,
+                ..ChaseConfig::restricted(policy)
+            },
+        );
+        let counters = |r: &ChaseResult| {
+            let s = r.stats;
+            (
+                s.steps,
+                s.nulls_created,
+                s.derived_atoms,
+                s.join_probes,
+                s.rounds,
+            )
+        };
+        assert_eq!(counters(&packed), counters(&traced), "{rules}");
+        assert_eq!(packed.completed, traced.completed, "{rules}");
+        if packed.completed {
+            assert_eq!(
+                packed.stats.triggers_examined, traced.stats.triggers_examined,
+                "{rules}"
+            );
+        }
+        assert_eq!(
+            packed.instance.row_layout(),
+            traced.instance.row_layout(),
+            "{rules}"
+        );
+        packed
+    }
+
+    fn rows_of(result: &ChaseResult, predicate: &str) -> Vec<Atom> {
+        result
+            .instance
+            .atoms_with_predicate(Predicate::new(predicate))
+            .collect()
+    }
+
+    #[test]
+    fn step_budget_stops_a_full_head_round_mid_batch() {
+        // Round 1 derives the 20 one-hop rows, round 2 the 19 two-hop rows;
+        // a budget of 30 stops the chase after 10 of the latter.
+        let result = assert_head_actions_agree(TC, &chain(20), TerminationPolicy::MaxSteps(30));
+        assert_eq!(result.stats.steps, 30);
+        assert!(!result.completed);
+        let hop = |i: usize, d: usize| Atom::fact("t", &[&format!("n{i}"), &format!("n{}", i + d)]);
+        let expected: Vec<Atom> = (0..20)
+            .map(|i| hop(i, 1))
+            .chain((0..10).map(|i| hop(i, 2)))
+            .collect();
+        assert_eq!(rows_of(&result, "t"), expected);
+    }
+
+    #[test]
+    fn null_budget_stops_at_the_first_new_full_head_row() {
+        // The existential rule spends the whole budget in round 1; the next
+        // new row of the full-head rule must then stop the chase.
+        let rules = format!("r(X, Z) :- p(X).\n{TC}");
+        let facts = format!("p(a). p(b).\n{}", chain(3));
+        let result = assert_head_actions_agree(&rules, &facts, TerminationPolicy::MaxNulls(2));
+        assert_eq!(result.stats.nulls_created, 2);
+        assert_eq!(result.stats.steps, 2);
+        assert!(!result.completed);
+        assert!(rows_of(&result, "t").is_empty());
+        // A full-head rule whose rows all exist takes no step, so it does
+        // not run into the spent budget.
+        let result = assert_head_actions_agree(
+            "r(X, Z) :- p(X).\n t(X, Y) :- edge(X, Y).",
+            "p(a). edge(a, b). t(a, b).",
+            TerminationPolicy::MaxNulls(1),
+        );
+        assert_eq!((result.stats.steps, result.stats.nulls_created), (1, 1));
+        assert!(result.completed);
+    }
+
+    #[test]
+    fn full_head_rows_land_before_later_tasks_of_the_round() {
+        // Both rules fire in round 1. The full-head task comes first, so
+        // q(a, b) is present when the existential rule checks q(a, _), and
+        // only q(c, _) needs a null, inserted after q(a, b).
+        let result = assert_head_actions_agree(
+            "q(X, Y) :- e(X, Y).\n q(X, Z) :- p(X).",
+            "e(a, b). p(a). p(c).",
+            TerminationPolicy::Unbounded,
+        );
+        assert_eq!((result.stats.steps, result.stats.nulls_created), (2, 1));
+        assert_eq!(rows_of(&result, "q")[0], Atom::fact("q", &["a", "b"]));
+    }
+
+    #[test]
+    fn zero_ary_full_head_fires_once() {
+        let result = assert_head_actions_agree(
+            "p() :- edge(X, Y).",
+            &chain(3),
+            TerminationPolicy::Unbounded,
+        );
+        assert!(result.completed);
+        assert_eq!((result.stats.steps, result.stats.derived_atoms), (1, 1));
+        assert_eq!(result.stats.triggers_examined, 3);
+        assert!(result.instance.contains(&Atom::new("p", Vec::new())));
+    }
+
+    #[test]
+    fn multi_atom_full_head_is_satisfied_only_by_all_its_atoms() {
+        // p(x1)'s head is half present, so it fires and adds b(x1) only.
+        let result = assert_head_actions_agree(
+            "a(X), b(X) :- p(X).",
+            "p(x1). p(x2). a(x1).",
+            TerminationPolicy::Unbounded,
+        );
+        assert!(result.completed);
+        assert_eq!((result.stats.steps, result.stats.derived_atoms), (2, 3));
+        // Both heads present: nothing fires.
+        let result = assert_head_actions_agree(
+            "a(X), b(X) :- p(X).",
+            "p(x1). a(x1). b(x1).",
+            TerminationPolicy::Unbounded,
+        );
+        assert_eq!(result.stats.steps, 0);
+    }
+
+    #[test]
+    fn oblivious_and_recorded_chases_give_the_same_answers() {
+        let rules = format!("{TC}\n r(X, W) :- t(X, Y).\n s(X) :- r(X, W).");
+        let facts = format!("{}edge(n5, n2).", chain(6));
+        let policy = TerminationPolicy::Unbounded;
+        let restricted = assert_head_actions_agree(&rules, &facts, policy);
+        let oblivious = run_chase(&rules, &facts, ChaseConfig::oblivious(policy));
+        assert!(restricted.completed && oblivious.completed);
+        for query in ["?(X, Y) :- t(X, Y).", "?(X) :- s(X).", "? :- r(X, W)."] {
+            let query = parse_query(query).unwrap();
+            assert_eq!(
+                oblivious.instance_answers(&query),
+                restricted.instance_answers(&query),
+                "{query}"
+            );
+        }
+        // The oblivious chase fires every t trigger, satisfied or not.
+        assert!(oblivious.stats.steps > restricted.stats.steps);
     }
 
     #[test]

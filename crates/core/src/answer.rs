@@ -15,8 +15,8 @@
 //!   termination policy is not the binding constraint).
 //!
 //! The engine never answers queries for non-warded programs — that is the
-//! point of Theorem 5.1 — unless the caller explicitly opts into the
-//! best-effort chase fallback.
+//! point of Theorem 5.1. A caller who wants a bounded chase of such a
+//! program runs [`vadalog_chase::ChaseEngine`] directly.
 
 use crate::rewrite::{rewrite_to_pwl_datalog, RewriteOptions};
 use crate::search::{linear_proof_search, warded_proof_search, SearchOptions};
@@ -35,10 +35,7 @@ pub enum Strategy {
     LinearProofSearch,
     /// Proof search with decomposition (warded, not piece-wise linear): the
     /// deterministic AND/OR form of the paper's alternating algorithm.
-    Alternating,
-    /// Best-effort chase (program is not warded; only used when
-    /// [`EngineOptions::allow_unwarded`] is set).
-    BestEffortChase,
+    WardedProofSearch,
 }
 
 /// Options for the certain-answer engine.
@@ -50,9 +47,6 @@ pub struct EngineOptions {
     pub rewrite: RewriteOptions,
     /// Termination policy of the chase fallback used by answer enumeration.
     pub chase_policy: TerminationPolicy,
-    /// Accept non-warded programs and answer them best-effort with a bounded
-    /// chase (unsound in general — Theorem 5.1 — but useful for experiments).
-    pub allow_unwarded: bool,
     /// Worker threads for answer enumeration (the rewriting's semi-naive
     /// evaluation, the chase fallback's trigger detection, and the final CQ
     /// answering all run through the sharded kernels; 1 = sequential, 0 =
@@ -66,7 +60,6 @@ impl Default for EngineOptions {
             search: SearchOptions::default(),
             rewrite: RewriteOptions::default(),
             chase_policy: TerminationPolicy::MaxNullDepth(6),
-            allow_unwarded: false,
             threads: 1,
         }
     }
@@ -85,8 +78,7 @@ pub struct CertainAnswerEngine {
 
 impl CertainAnswerEngine {
     /// Builds an engine for a program, choosing the strategy from the
-    /// program's syntactic class. Fails for non-warded programs unless
-    /// [`EngineOptions::allow_unwarded`] is set.
+    /// program's syntactic class. Fails for non-warded programs.
     pub fn new(
         program: Program,
         options: EngineOptions,
@@ -96,13 +88,11 @@ impl CertainAnswerEngine {
         let strategy = if warded && piecewise_linear {
             Strategy::LinearProofSearch
         } else if warded {
-            Strategy::Alternating
-        } else if options.allow_unwarded {
-            Strategy::BestEffortChase
+            Strategy::WardedProofSearch
         } else {
             return Err(ModelError::InvalidTgd(
                 "the program is not warded: certain-answer computation is undecidable in \
-                 general (Theorem 5.1); set EngineOptions::allow_unwarded for a best-effort chase"
+                 general (Theorem 5.1)"
                     .into(),
             ));
         };
@@ -170,14 +160,7 @@ impl CertainAnswerEngine {
     pub fn boolean_certain(&self, database: &Database, boolean_query: &ConjunctiveQuery) -> bool {
         let search = match self.strategy {
             Strategy::LinearProofSearch => linear_proof_search,
-            Strategy::Alternating => warded_proof_search,
-            Strategy::BestEffortChase => {
-                let chase = ChaseEngine::new(
-                    self.normalized.clone(),
-                    ChaseConfig::restricted(self.options.chase_policy),
-                );
-                return chase.run(database).boolean_answer(boolean_query);
-            }
+            Strategy::WardedProofSearch => warded_proof_search,
         };
         search(
             &self.normalized,
@@ -239,20 +222,11 @@ mod tests {
         );
         assert_eq!(
             engine("t(X, Y) :- edge(X, Y).\n t(X, Z) :- t(X, Y), t(Y, Z).").strategy(),
-            Strategy::Alternating
+            Strategy::WardedProofSearch
         );
-        // Non-warded programs are rejected by default…
+        // Non-warded programs are rejected.
         let unwarded = parse_rules("r(X, Z) :- p(X).\n t(Y, X) :- r(X, Y), r(W, Y).").unwrap();
-        assert!(CertainAnswerEngine::with_defaults(unwarded.clone()).is_err());
-        // …but accepted with the explicit opt-in.
-        let opts = EngineOptions {
-            allow_unwarded: true,
-            ..EngineOptions::default()
-        };
-        assert_eq!(
-            CertainAnswerEngine::new(unwarded, opts).unwrap().strategy(),
-            Strategy::BestEffortChase
-        );
+        assert!(CertainAnswerEngine::with_defaults(unwarded).is_err());
     }
 
     #[test]

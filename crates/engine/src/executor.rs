@@ -6,10 +6,12 @@
 //! all rules otherwise. [`Reasoner::run`] starts a restricted
 //! [`vadalog_chase::Saturation`] under [`EngineConfig::termination`] and
 //! saturates each pass in turn — the fixpoint rounds, trigger detection on
-//! [`EngineConfig::threads`] workers, satisfaction checks, null invention
-//! and every termination check are the chase crate's. A pass's first round
-//! drives each rule from body atom 0 as the optimizer ordered it; that is
-//! the whole effect of [`crate::JoinOrdering`] on evaluation.
+//! [`EngineConfig::threads`] workers, both head actions (packed rows for
+//! single-atom full heads, trigger-by-trigger satisfaction checks and null
+//! invention for the rest), and every termination check are the chase
+//! crate's. A pass's first round drives each rule from body atom 0 as the
+//! optimizer ordered it; that is the whole effect of
+//! [`crate::JoinOrdering`] on evaluation.
 
 use crate::optimizer::{optimize, EngineConfig};
 use std::collections::BTreeSet;

@@ -378,9 +378,56 @@ fn sharded_datalog_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// On existential-free programs the restricted chase is Datalog: every step
+/// derives one new row, the chased instance holds `DatalogEngine::evaluate`'s
+/// rows relation by relation, and its row layout does not depend on the
+/// thread count. These are the programs whose heads the chase applies as
+/// packed row batches.
+#[test]
+fn restricted_chase_equals_datalog_on_existential_free_programs() {
+    let mut rng = StdRng::seed_from_u64(36);
+    for case in 0..12 {
+        let db = arb_database(&mut rng);
+        let program = arb_program(&mut rng);
+        if db.is_empty() {
+            continue;
+        }
+        let datalog = DatalogEngine::new(program.clone()).unwrap().evaluate(&db);
+        let chase_with = |threads| {
+            ChaseEngine::new(
+                program.clone(),
+                ChaseConfig::restricted(TerminationPolicy::Unbounded).with_threads(threads),
+            )
+            .run(&db)
+        };
+        let chase = chase_with(1);
+        assert!(chase.completed, "case {case}\n{program}");
+        assert_eq!(chase.stats.nulls_created, 0, "case {case}\n{program}");
+        assert_eq!(
+            chase.stats.steps, chase.stats.derived_atoms,
+            "case {case}: a step without a new row\n{program}"
+        );
+        assert_eq!(
+            chase.stats.derived_atoms, datalog.stats.derived_atoms,
+            "case {case}\n{program}"
+        );
+        assert_eq!(
+            chase.instance.sorted_row_layout(),
+            datalog.instance.sorted_row_layout(),
+            "case {case}: chase and Datalog materialised different rows\n{program}"
+        );
+        assert_eq!(
+            row_layout(&chase_with(4).instance),
+            row_layout(&chase.instance),
+            "case {case}: chase row layout depends on the thread count\n{program}"
+        );
+    }
+}
+
 /// Parallel trigger detection in the chase and the bottom-up executor must
-/// not change results either: both apply triggers sequentially, so instances
-/// (row order included) and counters coincide with the sequential run.
+/// not change results either: both apply heads sequentially in task order,
+/// so instances (row order included) and counters coincide with the
+/// sequential run.
 #[test]
 fn parallel_chase_and_reasoner_match_sequential_runs() {
     let mut rng = StdRng::seed_from_u64(35);
