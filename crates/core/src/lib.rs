@@ -3,8 +3,8 @@
 //!
 //! This crate implements the paper's primary contribution (Sections 4 and 6):
 //!
-//! * **chunk-based resolution** — most general chunk unifiers (MGCUs) and
-//!   σ-resolvents ([`resolution`]);
+//! * **chunk-based resolution** — the σ-resolvents of every admissible
+//!   chunk, factorings included ([`resolution`]);
 //! * the **node-width bounds** `f_{WARD∩PWL}` and `f_{WARD}` of
 //!   Theorems 4.8/4.9 ([`bounds`]);
 //! * **one proof search** ([`search`]), a memoised breadth-first simulation
@@ -33,7 +33,7 @@ pub mod support;
 pub use answer::{CertainAnswerEngine, EngineOptions, Strategy};
 pub use bounds::{node_width_bound_ward, node_width_bound_ward_pwl};
 pub use metrics::SpaceMeter;
-pub use resolution::{chunk_resolvents, mgcus, CqState, Resolvent};
+pub use resolution::{chunk_resolvents, CqState};
 pub use rewrite::{rewrite_to_pwl_datalog, RewriteOptions, RewrittenQuery};
 pub use search::{
     linear_proof_search, warded_proof_search, SearchOptions, SearchOutcome, SearchStats,

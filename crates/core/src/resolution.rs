@@ -8,12 +8,37 @@
 //! produces all the time) are recognised as equal and the search space stays
 //! finite.
 //!
-//! [`mgcus`] enumerates the most general chunk unifiers of a state with a
-//! (single-head) TGD, enforcing the two conditions of the paper: existential
-//! variables of the TGD must not unify with constants, and they may only
-//! unify with query variables that occur exclusively inside the resolved
-//! chunk (non-shared variables). [`chunk_resolvents`] applies them to produce
-//! σ-resolvents.
+//! # Chunks
+//!
+//! [`chunk_resolvents`] resolves a state `S` against every single-head TGD
+//! `σ`. A chunk `S₁ ⊆ S` is unified with `σ`'s head by a most general
+//! unifier γ and replaced by `γ(body(σ))`. An existential variable `x` of `σ`
+//! stands for a fresh null, so the step is sound only if `x`'s *class* (the
+//! terms γ sends to `γ(x)`) holds no constant or null, no frontier variable
+//! of `σ` and no other existential of `σ`, and if every atom of `S` holding a
+//! variable of the class is in `S₁`: outside `σ`'s head nothing knows the
+//! null.
+//!
+//! The least admissible chunk around an atom is its *piece*, the
+//! single-piece unifier of existential-rule rewriting (König, Leclère,
+//! Mugnier, Thomazo, SWJ 2015); for a rule without existential variables it
+//! is the atom alone. A chunk of several pieces is a *factoring*: it resolves
+//! atoms that a proof maps onto one fact with one copy of the body. Pieces
+//! alone would be complete without a width bound, but not within the bounds
+//! of [`crate::bounds`], so every admissible chunk is resolved, as
+//! Definition 4.3 allows. With `h(X, Y) :- a(X, W), b(W, Y), c(W).` and
+//! rules of three extensional body atoms for `a`, `b` and `c`, the state
+//! `h(Z, V1), h(Z, V2), h(Z, V3)` whose atoms all map onto one fact
+//! `h(c, d)` needs the factoring of all three: resolved one piece at a time
+//! it holds 5 and then 7 atoms, past `f_{WARD}` = 6, before any atom can
+//! match the database.
+//!
+//! The chunks are enumerated depth first over the sets of head-matching
+//! atoms that unify with the head together, each set grown by later atoms
+//! only. Every admissible chunk is such a set, and no superset of a set that
+//! does not unify does, so no chunk is missed and a set that does not unify
+//! is never grown: the enumeration is exponential only in atoms that can all
+//! be one fact, which the width bound keeps few.
 
 use std::collections::{BTreeMap, BTreeSet};
 use vadalog_model::{unify_all_with, Atom, Program, Substitution, Term, Tgd, Variable};
@@ -138,141 +163,87 @@ fn shape_key(atom: &Atom) -> (String, usize, Vec<(u8, String)>) {
     (atom.predicate.name().to_string(), atom.arity(), args)
 }
 
-/// A most general chunk unifier of a state with a TGD: the chunk `S₁` (indexes
-/// into the state's atoms) and the unifier γ.
-#[derive(Debug, Clone)]
-pub struct Mgcu {
-    /// Indexes of the state atoms forming the chunk S₁.
-    pub chunk: Vec<usize>,
-    /// The unifier γ.
-    pub unifier: Substitution,
-}
-
-/// A σ-resolvent of a state together with the TGD that produced it.
-#[derive(Debug, Clone)]
-pub struct Resolvent {
-    /// The resolvent state (canonicalised).
-    pub state: CqState,
-    /// Index of the TGD used.
-    pub tgd_index: usize,
-    /// Size of the chunk that was resolved.
-    pub chunk_size: usize,
-}
-
-/// Enumerates the most general chunk unifiers of `state` with the single-head
-/// TGD `tgd`. The TGD must already have variables disjoint from the state
-/// (use [`Tgd::rename_apart`]).
-pub fn mgcus(state: &CqState, tgd: &Tgd) -> Vec<Mgcu> {
+/// The admissible chunks of `state` for the single-head TGD `tgd`, each as
+/// the sorted indexes of its atoms with its unifier γ (see the module docs).
+/// The TGD must already have variables disjoint from the state (use
+/// [`Tgd::rename_apart`]).
+fn chunks(state: &CqState, tgd: &Tgd) -> Vec<(Vec<usize>, Substitution)> {
     assert_eq!(
         tgd.head.len(),
         1,
         "chunk-based resolution requires single-head TGDs (normalise first)"
     );
     let head = &tgd.head[0];
-    let existentials = tgd.existential_variables();
-
-    // Candidate atoms: same predicate and arity as the head.
-    let candidates: Vec<usize> = state
-        .atoms()
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| a.predicate == head.predicate && a.arity() == head.arity())
-        .map(|(i, _)| i)
+    let atoms = state.atoms();
+    let candidates: Vec<usize> = (0..atoms.len())
+        .filter(|&i| atoms[i].predicate == head.predicate && atoms[i].arity() == head.arity())
         .collect();
     if candidates.is_empty() {
         return Vec::new();
     }
+    let existentials = tgd.existential_variables();
 
-    let mut out = Vec::new();
-    // Enumerate non-empty subsets of the candidates. Chunks larger than one
-    // atom are only useful when atoms actually share existential-variable
-    // images, which keeps the practical subset sizes tiny; the candidate list
-    // is already bounded by the node width.
-    let n = candidates.len();
-    for mask in 1u64..(1u64 << n.min(16)) {
-        let chunk: Vec<usize> = (0..n)
-            .filter(|i| mask & (1 << i) != 0)
-            .map(|i| candidates[i])
-            .collect();
-        let chunk_atoms: Vec<Atom> = chunk.iter().map(|&i| state.atoms()[i].clone()).collect();
-        let gamma = match unify_all_with(&chunk_atoms, head) {
-            Some(g) => g,
-            None => continue,
+    // Depth first over the sets of candidates that unify with the head,
+    // each grown by later candidates only: no superset of a set that does
+    // not unify does.
+    let mut out: Vec<(Vec<usize>, Substitution)> = Vec::new();
+    let mut stack: Vec<Vec<usize>> = candidates.iter().map(|&i| vec![i]).collect();
+    while let Some(chunk) = stack.pop() {
+        let chunk_atoms: Vec<Atom> = chunk.iter().map(|&i| atoms[i].clone()).collect();
+        let Some(gamma) = unify_all_with(&chunk_atoms, head) else {
+            continue;
         };
-        if chunk_conditions_hold(state, &chunk, &gamma, &existentials) {
-            out.push(Mgcu {
-                chunk,
-                unifier: gamma,
-            });
+        let last = chunk[chunk.len() - 1];
+        for &next in candidates.iter().filter(|&&i| i > last) {
+            let mut grown = chunk.clone();
+            grown.push(next);
+            stack.push(grown);
+        }
+        // An existential stands for a fresh null: its class may hold no
+        // constant, null, frontier variable or second existential, and no
+        // atom outside the chunk may hold a variable of it.
+        let image = |v: &Variable| gamma.apply_term(&Term::Var(*v));
+        let images: BTreeSet<Term> = existentials.iter().map(image).collect();
+        let admissible = images.is_empty()
+            || images.len() == existentials.len()
+                && images.iter().all(Term::is_var)
+                && tgd.frontier().iter().all(|f| !images.contains(&image(f)))
+                && (0..atoms.len())
+                    .filter(|i| chunk.binary_search(i).is_err())
+                    .all(|i| {
+                        atoms[i]
+                            .variables()
+                            .iter()
+                            .all(|v| !images.contains(&image(v)))
+                    });
+        if admissible {
+            out.push((chunk, gamma));
         }
     }
+    // In the order a binary counter over the candidates lists them: the
+    // search's visit order, and so its state counts, depend on it.
+    out.sort_by(|(a, _), (b, _)| a.iter().rev().cmp(b.iter().rev()));
     out
 }
 
-/// Checks the two MGCU side conditions for the existential variables of the
-/// TGD.
-fn chunk_conditions_hold(
-    state: &CqState,
-    chunk: &[usize],
-    gamma: &Substitution,
-    existentials: &BTreeSet<Variable>,
-) -> bool {
-    let chunk_set: BTreeSet<usize> = chunk.iter().copied().collect();
-    // Variables of the state occurring outside the chunk are "shared".
-    let outside_vars: BTreeSet<Variable> = state
-        .atoms()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !chunk_set.contains(i))
-        .flat_map(|(_, a)| a.variables())
-        .collect();
-    let chunk_vars: BTreeSet<Variable> = chunk
-        .iter()
-        .flat_map(|&i| state.atoms()[i].variables())
-        .collect();
-
-    for x in existentials {
-        let image = gamma.apply_term(&Term::Var(*x));
-        // Condition (1): γ(x) is not a constant.
-        if image.is_const() || image.is_null() {
-            return false;
-        }
-        // Condition (2): every state variable with the same image must occur
-        // in the chunk and be non-shared.
-        for y in state.variables() {
-            if gamma.apply_term(&Term::Var(y)) == image
-                && (!chunk_vars.contains(&y) || outside_vars.contains(&y))
-            {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Computes all σ-resolvents of a state with respect to every TGD of the
-/// (single-head) program.
-pub fn chunk_resolvents(state: &CqState, program: &Program) -> Vec<Resolvent> {
+/// (single-head) program: one per admissible chunk and TGD.
+pub fn chunk_resolvents(state: &CqState, program: &Program) -> Vec<CqState> {
     let mut out = Vec::new();
     for (tgd_index, tgd) in program.iter() {
         // Rename the TGD apart from the canonical state variables (which are
         // all named `V<n>`): the suffix guarantees disjointness.
         let renamed = tgd.rename_apart(&format!("r{tgd_index}"));
-        for mgcu in mgcus(state, &renamed) {
-            let chunk_set: BTreeSet<usize> = mgcu.chunk.iter().copied().collect();
+        for (chunk, gamma) in chunks(state, &renamed) {
             let mut atoms: Vec<Atom> = state
                 .atoms()
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| !chunk_set.contains(i))
-                .map(|(_, a)| mgcu.unifier.apply_atom(a))
+                .filter(|(i, _)| chunk.binary_search(i).is_err())
+                .map(|(_, a)| gamma.apply_atom(a))
                 .collect();
-            atoms.extend(mgcu.unifier.apply_atoms(&renamed.body));
-            out.push(Resolvent {
-                state: CqState::new(atoms),
-                tgd_index,
-                chunk_size: mgcu.chunk.len(),
-            });
+            atoms.extend(gamma.apply_atoms(&renamed.body));
+            out.push(CqState::new(atoms));
         }
     }
     out
@@ -311,10 +282,9 @@ mod tests {
         let resolvents = chunk_resolvents(&state, &program);
         assert_eq!(resolvents.len(), 1);
         let r = &resolvents[0];
-        assert_eq!(r.state.size(), 2);
+        assert_eq!(r.size(), 2);
         // The constant a must survive into the edge atom.
         assert!(r
-            .state
             .atoms()
             .iter()
             .any(|a| a.predicate.name() == "edge" && a.terms[0] == Term::constant("a")));
@@ -346,8 +316,35 @@ mod tests {
         let state = state_of("? :- r(X, Y).");
         let resolvents = chunk_resolvents(&state, &program);
         assert_eq!(resolvents.len(), 1);
-        assert_eq!(resolvents[0].state.size(), 1);
-        assert_eq!(resolvents[0].state.atoms()[0].predicate.name(), "p");
+        assert_eq!(resolvents[0].size(), 1);
+        assert_eq!(resolvents[0].atoms()[0].predicate.name(), "p");
+    }
+
+    #[test]
+    fn existential_variables_must_not_unify_with_frontier_variables() {
+        // r(Y, Y) would need the null for Z to equal the value of X: the
+        // chase of {p(a)} holds r(a, ν), never r(a, a).
+        let program = parse_rules("r(X, Z) :- p(X).").unwrap();
+        assert!(chunk_resolvents(&state_of("? :- r(Y, Y)."), &program).is_empty());
+        // Through a second state atom the two meet all the same: the piece
+        // of r(Y, W) takes r(W, U) and then needs Z = W = X. Only r(W, U)
+        // resolves, alone.
+        let state = state_of("? :- r(Y, W), r(W, U).");
+        assert_eq!(
+            chunk_resolvents(&state, &program),
+            vec![state_of("? :- r(Y, W), p(W).")]
+        );
+    }
+
+    #[test]
+    fn two_existential_variables_must_not_unify_with_each_other() {
+        // Z and W stand for two distinct nulls.
+        let program = parse_rules("r(Z, W) :- p(X).").unwrap();
+        assert!(chunk_resolvents(&state_of("? :- r(Y, Y)."), &program).is_empty());
+        assert_eq!(
+            chunk_resolvents(&state_of("? :- r(Y, U)."), &program).len(),
+            1
+        );
     }
 
     #[test]
@@ -361,12 +358,41 @@ mod tests {
         let program = parse_rules("r(W, V) :- p(W).").unwrap();
         let state = state_of("? :- r(X, Y), r(Z, Y).");
         let resolvents = chunk_resolvents(&state, &program);
-        // The only admissible MGCU takes both atoms (the shared Y forbids
-        // resolving either atom alone), unifying X with Z.
+        // The only admissible chunk takes both atoms (the shared Y forbids
+        // resolving either atom alone), unifying X with Z: both seeds grow to
+        // this one piece, which is resolved once.
         assert_eq!(resolvents.len(), 1);
-        assert_eq!(resolvents[0].chunk_size, 2);
-        assert_eq!(resolvents[0].state.size(), 1);
-        assert_eq!(resolvents[0].state.atoms()[0].predicate.name(), "p");
+        assert_eq!(resolvents[0], state_of("? :- p(X)."));
+    }
+
+    #[test]
+    fn full_rules_resolve_each_atom_and_their_factoring() {
+        // Without existential variables each atom is a chunk of its own, and
+        // two atoms that unify are also resolved together, as one fact.
+        let program = parse_rules("t(X, Y) :- e(X, Y).").unwrap();
+        let resolvents = chunk_resolvents(&state_of("? :- t(A, B), t(A, C)."), &program);
+        let one_at_a_time = state_of("? :- e(A, B), t(A, C).");
+        assert_eq!(
+            resolvents,
+            vec![
+                one_at_a_time.clone(),
+                one_at_a_time,
+                state_of("? :- e(A, B).")
+            ]
+        );
+        // Atoms that cannot be one fact are never factored.
+        let apart = chunk_resolvents(&state_of("? :- t(A, b), t(A, c)."), &program);
+        assert_eq!(apart.len(), 2);
+    }
+
+    #[test]
+    fn candidates_past_sixteen_are_resolved() {
+        // Seventeen atoms over the head's predicate, tied by one variable:
+        // no two can be one fact, so each is resolved alone.
+        let atoms: Vec<String> = (0..17).map(|i| format!("t(X, c{i})")).collect();
+        let state = state_of(&format!("? :- {}.", atoms.join(", ")));
+        let program = parse_rules("t(X, Y) :- e(X, Y).").unwrap();
+        assert_eq!(chunk_resolvents(&state, &program).len(), 17);
     }
 
     #[test]

@@ -160,10 +160,10 @@ pub fn rewrite_to_pwl_datalog(
 
         // Resolution edges.
         for resolvent in chunk_resolvents(&state, program) {
-            if resolvent.state.size() > bound {
+            if resolvent.size() > bound {
                 continue;
             }
-            let (child, child_map) = canonical_rewrite_state(resolvent.state.atoms().to_vec());
+            let (child, child_map) = canonical_rewrite_state(resolvent.atoms().to_vec());
             let known = registry.contains(&child);
             registry.predicate_for(&child);
             if !known {

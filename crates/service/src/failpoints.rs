@@ -162,6 +162,18 @@ mod tests {
         let _guard = exclusive();
         clear_all();
 
+        if !cfg!(debug_assertions) {
+            // Release builds have no registry: arming is a no-op and every
+            // site proceeds.
+            fail_once("test.site", Action::Error, 0);
+            fail_always("test.other", Action::Panic);
+            for site in ["test.site", "test.other", "test.unarmed"] {
+                assert_eq!(hit(site), Action::Off);
+                assert!(check(site).is_ok());
+            }
+            return;
+        }
+
         fail_once("test.site", Action::Error, 2);
         assert_eq!(hit("test.site"), Action::Off);
         assert_eq!(hit("test.site"), Action::Off);

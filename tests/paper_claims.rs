@@ -1,6 +1,6 @@
 //! Integration tests that check the paper's individual claims end-to-end:
-//! Example 3.3, the node-width bounds, Theorem 5.1's reduction, Lemma 6.7 and
-//! the Section 1.2 linearisation.
+//! Example 3.3, the node-width bounds, Definition 4.3's side conditions,
+//! Theorem 5.1's reduction, Lemma 6.7 and the Section 1.2 linearisation.
 
 use vadalog::analysis::classify::{classify_scenario, ScenarioClass};
 use vadalog::analysis::levels::PredicateLevels;
@@ -9,9 +9,10 @@ use vadalog::analysis::predicate_graph::PredicateGraph;
 use vadalog::analysis::pwl::{is_intensionally_linear, is_piecewise_linear};
 use vadalog::analysis::wardedness::is_warded;
 use vadalog::benchgen::graphs::random_graph;
+use vadalog::chase::{ChaseConfig, ChaseEngine, TerminationPolicy};
 use vadalog::core::{
     linear_proof_search, node_width_bound_ward, node_width_bound_ward_pwl, warded_proof_search,
-    CertainAnswerEngine, SearchOptions,
+    CertainAnswerEngine, SearchOptions, Strategy,
 };
 use vadalog::datalog::DatalogEngine;
 use vadalog::model::parser::{parse, parse_query, parse_rules};
@@ -116,6 +117,78 @@ fn theorem_4_9_node_width_bound_is_respected_in_practice() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn theorem_4_9_needs_factorings_within_f_ward() {
+    // The three h atoms all map onto h(c, d). One at a time, resolution
+    // leaves 5 and then 7 atoms before any atom matches the database, past
+    // f_WARD = 2 · max(3, 3) = 6; resolved as one chunk they leave 3. The
+    // closure over t makes the program non-PWL, so the engine takes the
+    // warded search.
+    let program = parse_rules(
+        "h(X, Y) :- a(X, W), b(W, Y), c(W).\n\
+         a(X, W) :- e(X, W), e(X, X), e(W, W).\n\
+         b(W, Y) :- e(W, Y), e(Y, Y), e(W, W).\n\
+         c(W) :- e(W, U), e(U, U), e(W, W).\n\
+         t(X, Z) :- t(X, Y), t(Y, Z).",
+    )
+    .unwrap();
+    let db = parse("e(c, d). e(c, c). e(d, d).").unwrap().database;
+    let boolean = parse_query("? :- h(Z, V1), h(Z, V2), h(Z, V3).").unwrap();
+    assert_eq!(node_width_bound_ward(&boolean, &program), 6);
+    let truth = DatalogEngine::new(program.clone())
+        .unwrap()
+        .answers(&db, &boolean);
+    assert!(truth.contains(&Vec::new()));
+
+    let outcome = warded_proof_search(&program, &db, &boolean, SearchOptions::default());
+    assert!(outcome.is_accepted());
+    assert!(outcome.stats().max_state_size <= 6);
+    let engine = CertainAnswerEngine::with_defaults(program).unwrap();
+    assert_eq!(engine.strategy(), Strategy::WardedProofSearch);
+    assert!(engine.boolean_certain(&db, &boolean));
+}
+
+#[test]
+fn definition_4_3_existentials_meet_no_frontier_variable() {
+    // Σ = {p(X) → ∃Z r(X, Z)}, D = {p(a)}: the chase holds r(a, ν) and no
+    // r(t, t), so resolving r(Y, Y) would need the null to equal a. Neither
+    // the decision, nor the rewriting behind `all_answers`, nor the warded
+    // search (the non-linear rule makes the program non-PWL) may do it.
+    let db = parse("p(a).").unwrap().database;
+    let boolean = parse_query("? :- r(Y, Y).").unwrap();
+    let query = parse_query("?(A) :- p(A), r(Y, Y).").unwrap();
+    for (rules, strategy) in [
+        ("r(X, Z) :- p(X).", Strategy::LinearProofSearch),
+        (
+            "r(X, Z) :- p(X).\n t(X, Z) :- t(X, Y), t(Y, Z).",
+            Strategy::WardedProofSearch,
+        ),
+    ] {
+        let program = parse_rules(rules).unwrap();
+        let chase = ChaseEngine::new(
+            program.clone(),
+            ChaseConfig::restricted(TerminationPolicy::Unbounded),
+        )
+        .run(&db);
+        assert!(!chase.boolean_answer(&boolean));
+        assert!(chase.instance_answers(&query).is_empty());
+
+        let engine = CertainAnswerEngine::with_defaults(program).unwrap();
+        assert_eq!(engine.strategy(), strategy);
+        assert!(!engine.boolean_certain(&db, &boolean), "{rules}");
+        assert!(
+            engine.all_answers(&db, &query).unwrap().is_empty(),
+            "{rules}"
+        );
+        assert!(
+            !engine
+                .is_certain_answer(&db, &query, &[Symbol::new("a")])
+                .unwrap(),
+            "{rules}"
+        );
     }
 }
 

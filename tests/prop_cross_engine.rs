@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use vadalog::analysis::wardedness::is_warded;
 use vadalog::benchgen::{data_exchange_scenario, owl_database, owl_program};
 use vadalog::chase::{ChaseConfig, ChaseEngine, TerminationPolicy};
 use vadalog::core::{
@@ -263,6 +264,146 @@ fn decision_procedure_matches_ground_truth() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The proof search agrees with the restricted chase on programs with
+/// existential heads, whose chase terminates: random warded programs that
+/// invent values from random Datalog relations and copy, join and close them
+/// over, and the data-exchange scenario at toy size. The queries repeat a
+/// variable or join through a variable that is not output, the two ways a
+/// state can force a null to equal another term. Both search entries decide
+/// every tuple when the program is PWL, the warded one always, except that
+/// a join through the data exchange's recursive `connected` is left to the
+/// warded entry: there the linear entry exhausts its state cap at width 8
+/// (ROADMAP item 23).
+#[test]
+fn existential_decisions_match_the_restricted_chase() {
+    let mut rng = StdRng::seed_from_u64(32);
+    let mut scenarios = Vec::new();
+    for case in 0..8 {
+        let db = arb_database(&mut rng);
+        let (program, heads) = arb_existential_program(&mut rng);
+        let mut queries = Vec::new();
+        for h in &heads {
+            queries.push((format!("? :- {h}(Y, Y)."), true));
+            for g in &heads {
+                queries.push((format!("?(A) :- {h}(A, Y), {g}(Y, Y)."), true));
+                queries.push((format!("?(A) :- {h}(A, Y), {g}(A, Y)."), true));
+            }
+        }
+        scenarios.push((format!("case {case}"), program, db, queries));
+    }
+    for seed in 0..2 {
+        let dex = data_exchange_scenario(2, 4, 4, seed);
+        let queries = [
+            ("? :- tgt_0(A, Y, Y).", true),
+            ("?(A) :- tgt_0(A, B, Z), tgt_1(A, C, Z).", true),
+            ("?(A, B) :- tgt_0(A, Y, Z), link(Y, B).", true),
+            ("?(A) :- tgt_1(A, Y, Z), link(Y, A).", true),
+            ("?(A) :- tgt_0(A, Y, Z), connected(Y, A).", false),
+        ];
+        let queries = queries
+            .iter()
+            .map(|(q, linear)| (q.to_string(), *linear))
+            .collect();
+        scenarios.push((
+            format!("data exchange, seed {seed}"),
+            dex.program,
+            dex.database,
+            queries,
+        ));
+    }
+    for (name, program, db, queries) in scenarios {
+        let engine = CertainAnswerEngine::with_defaults(program.clone())
+            .unwrap_or_else(|e| panic!("{name}: {e}\n{program}"));
+        let pwl = engine.is_piecewise_linear();
+        let chase = ChaseEngine::new(
+            program.clone(),
+            ChaseConfig::restricted(TerminationPolicy::Unbounded),
+        )
+        .run(&db);
+        assert!(chase.completed, "{name}: the chase did not terminate");
+        let domain: Vec<Symbol> = db.domain().into_iter().collect();
+        for (query, linear) in &queries {
+            let query = parse_query(query).unwrap();
+            let tuples: Vec<Vec<Symbol>> = match query.output.len() {
+                0 => vec![vec![]],
+                1 => domain.iter().map(|a| vec![*a]).collect(),
+                _ => domain
+                    .iter()
+                    .flat_map(|a| domain.iter().map(move |b| vec![*a, *b]))
+                    .collect(),
+            };
+            let truth = chase.instance_answers(&query);
+            for tuple in tuples {
+                let boolean = query.instantiate(&tuple).unwrap();
+                let decide = |search: SearchFn| {
+                    let outcome = search(
+                        engine.normalized_program(),
+                        &db,
+                        &boolean,
+                        SearchOptions::default(),
+                    );
+                    assert!(
+                        !matches!(outcome, SearchOutcome::Inconclusive { .. }),
+                        "{name}: {boolean} gave up\n{program}"
+                    );
+                    outcome.is_accepted()
+                };
+                let expected = truth.contains(&tuple);
+                assert_eq!(
+                    decide(warded_proof_search),
+                    expected,
+                    "{name}: {boolean} (PWL: {pwl})\n{program}"
+                );
+                if pwl && *linear {
+                    assert_eq!(
+                        decide(linear_proof_search),
+                        expected,
+                        "{name}: the linear entry on {boolean}\n{program}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A random warded program with existential heads over [`arb_program`]'s
+/// Datalog relations: one or two value-inventing rules `r{k}` read only
+/// `p` relations, and copy, join and closure rules over `s` read the
+/// invented relations, so the restricted chase invents finitely many nulls
+/// and terminates. Draws that are not warded are drawn again. Returns the
+/// program with the head predicates the invented values reach.
+fn arb_existential_program(rng: &mut StdRng) -> (Program, Vec<String>) {
+    loop {
+        let mut src = arb_program(rng).to_string();
+        let inventions = rng.gen_range(1..3u32);
+        for k in 0..inventions {
+            let a = rng.gen_range(0..4u32);
+            src.push_str(&match rng.gen_range(0..3u32) {
+                0 => format!("r{k}(X, Z) :- p{a}(X, Y).\n"),
+                1 => format!("r{k}(Z, X) :- p{a}(Y, X).\n"),
+                _ => format!("r{k}(X, Z) :- p{a}(X, X).\n"),
+            });
+        }
+        for _ in 0..rng.gen_range(1..4u32) {
+            let k = rng.gen_range(0..inventions);
+            let j = rng.gen_range(0..inventions);
+            let a = rng.gen_range(0..4u32);
+            src.push_str(&match rng.gen_range(0..4u32) {
+                0 => format!("s(X, Y) :- r{k}(X, Y).\n"),
+                1 => format!("s(X, Z) :- r{k}(X, Y), p{a}(Y, Z).\n"),
+                2 => format!("s(X, Z) :- r{k}(X, Y), r{j}(Z, Y).\n"),
+                _ => format!("s(X, Y) :- r{k}(X, Y).\n s(X, Z) :- s(X, Y), s(Y, Z).\n"),
+            });
+        }
+        let program = parse_rules(&src).expect("generated program parses");
+        if is_warded(&program) {
+            let mut heads: Vec<String> = (0..inventions).map(|k| format!("r{k}")).collect();
+            heads.push("s".to_string());
+            return (program, heads);
         }
     }
 }
